@@ -12,9 +12,17 @@ Criteria, for the linear system A x = b with initial guess x0:
 * relative to rhs:               ||b - A x|| <= tau * ||b||
 * absolute:                      ||b - A x|| <= tau
 
-All inequalities are inclusive. On success the true residual is recomputed
-once at exit to guard against recurrence drift; if it misses the threshold
-by more than a factor 10 the solver keeps iterating.
+All inequalities are inclusive. When the recurrence residual meets the
+threshold the true residual is recomputed to guard against recurrence drift.
+Within a factor ``DRIFT_GUARD_FACTOR`` of the threshold the solve converged.
+Otherwise the solver restarts from the true residual, unless that residual
+failed to fall below ``RESTART_PROGRESS_FACTOR`` times the true residual at
+the previous restart (the first restart compares against the initial
+residual): then the threshold lies below the float64 residual floor, about
+``eps_mach * ||A|| * ||x||`` (Greenbaum, SIMAX 18(3), 1997), and the solver
+stops with breakdown "attainable accuracy" instead of restarting until its
+iteration cap. GMRES stops the same way once its Krylov space is exhausted
+(happy breakdown, or n steps of full GMRES), where a restart cannot gain.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import scipy.sparse as sp
 from .linalg import norm2
 
 DRIFT_GUARD_FACTOR = 10.0
+RESTART_PROGRESS_FACTOR = 0.5
 DEGENERATE_RHS_NORM = 1e-300
 _DEGENERATE_FALLBACK_TOL = 1e-14
 
@@ -89,6 +98,16 @@ class SolveReport:
     residual norms starting from the initial one. ``rhs_degenerate`` flags
     the rhs-relative criterion hitting a numerically zero rhs, in which case
     the solve fell back to an absolute tolerance of 1e-14.
+
+    ``breakdown`` is ``None`` exactly when ``converged`` is true. Otherwise it
+    names the reason the solve stopped short:
+
+    * ``"iteration cap"``: ``max_iter`` ran out;
+    * ``"attainable accuracy"``: the threshold is below what the true
+      residual can reach in float64 (a drift restart made no progress, or
+      full GMRES exhausted the Krylov space);
+    * ``"indefinite or non-finite"``: CG met a non-positive curvature or
+      either solver produced a non-finite residual.
     """
 
     solution: np.ndarray
@@ -117,6 +136,21 @@ def _effective_criterion(criterion: TerminationCriterion, rhs_norm: float):
     ):
         return absolute(_DEGENERATE_FALLBACK_TOL), True
     return criterion, False
+
+
+def _drift_exit(true_res: float, threshold: float, restart_res: float):
+    """The stopping rule shared by both solvers, applied once the recurrence
+    residual has met ``threshold``.
+
+    Returns ``(converged, breakdown)`` to stop with, or ``None`` to restart
+    from the true residual. ``restart_res`` is the true residual at the
+    previous restart, or the initial residual before the first.
+    """
+    if true_res <= DRIFT_GUARD_FACTOR * threshold:
+        return True, None
+    if true_res > RESTART_PROGRESS_FACTOR * restart_res:
+        return False, "attainable accuracy"
+    return None
 
 
 def cg_solve(
@@ -162,6 +196,7 @@ def cg_solve(
 
     p = r.copy()
     rs = float(r @ r)
+    restart_res = r0_norm
     it = 0
     while it < max_iter:
         Ap = apply_op(p)
@@ -178,18 +213,19 @@ def cg_solve(
         if not np.isfinite(res):
             return report(False, it, res, "indefinite or non-finite")
         if res <= threshold:
-            true_res = norm2(b - apply_op(x))
-            if true_res <= DRIFT_GUARD_FACTOR * threshold:
-                return report(True, it, true_res)
-            # recurrence drifted: restart the recursion from the true residual
             r = b - apply_op(x)
-            rs_new = float(r @ r)
+            true_res = norm2(r)
+            verdict = _drift_exit(true_res, threshold, restart_res)
+            if verdict is not None:
+                return report(verdict[0], it, true_res, verdict[1])
+            # recurrence drifted: restart the recursion from the true residual
+            restart_res = true_res
             p = r.copy()
-            rs = rs_new
+            rs = float(r @ r)
             continue
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return report(False, it, norm2(b - apply_op(x)))
+    return report(False, it, norm2(b - apply_op(x)), "iteration cap")
 
 
 def gmres_solve(
@@ -205,7 +241,8 @@ def gmres_solve(
     ``restart=None`` runs full GMRES; the per-iteration residual norm comes
     for free from the rotated right-hand side. Happy breakdown (Arnoldi norm
     below 1e-14 of the initial residual) means the Krylov space contains the
-    exact solution.
+    exact solution in exact arithmetic; in float64 the true residual still
+    decides whether the solve converged.
     """
     apply_op = _as_apply(op)
     b = np.asarray(b, dtype=float)
@@ -236,6 +273,7 @@ def gmres_solve(
     if r0_norm <= threshold:
         return report(True, 0, r0_norm)
 
+    restart_res = r0_norm
     total_it = 0
     while total_it < max_iter:
         cycle = min(restart or n, n, max_iter - total_it)
@@ -288,13 +326,16 @@ def gmres_solve(
         x = x + V[:, :j_used] @ y
         r = b - apply_op(x)
         true_res = norm2(r)
-        if happy:
-            return report(True, total_it, true_res)
+        # happy breakdown or full GMRES at n steps: the Krylov space is
+        # exhausted, so a restart has nothing more to gain
+        exhausted = happy or (restart is None and j_used == n)
         if satisfied:
-            if true_res <= DRIFT_GUARD_FACTOR * threshold:
+            verdict = _drift_exit(true_res, threshold, 0.0 if exhausted else restart_res)
+            if verdict is not None:
+                return report(verdict[0], total_it, true_res, verdict[1])
+        elif exhausted:
+            if true_res <= threshold:
                 return report(True, total_it, true_res)
-            continue  # drift: restart from the true residual
-        if restart is None and j_used == n:
-            # full Krylov space exhausted; nothing more to gain
-            return report(true_res <= threshold, total_it, true_res)
-    return report(False, total_it, norm2(b - apply_op(x)))
+            return report(False, total_it, true_res, "attainable accuracy")
+        restart_res = true_res  # restart from the true residual
+    return report(False, total_it, norm2(b - apply_op(x)), "iteration cap")

@@ -113,13 +113,13 @@ def picard_iterate(
     reports: list[list] = []
     residuals: list[float] = []
     terminated = Termination.MAX_ITER
+    A, _ = picard_assemble(spec, x)
     for _ in range(max_iter):
-        A, _ = picard_assemble(spec, x)
         rep = gmres_solve(A, b, x0=x, criterion=criterion, max_iter=inner_cap)
         y = rep.solution
         inc = norm2(y - x)
-        A_new, _ = picard_assemble(spec, y)
-        res = norm2(A_new @ y - b)
+        A, _ = picard_assemble(spec, y)  # A(y): residual check and next step
+        res = norm2(A @ y - b)
         iterates.append(y)
         increments.append(inc)
         reports.append([rep])

@@ -289,8 +289,11 @@ def dn_step(
     Solves the Dirichlet block for the current interface values, the Neumann
     block with the coupling column of the previous sweep's Omega1 solution,
     and returns the interface part of the Neumann solution as the new
-    interface iterate.
+    interface iterate. ``inner_guess`` starts each inner solve from the
+    previous sweep's solution ("previous") or from zero ("zero").
     """
+    if inner_guess not in ("previous", "zero"):
+        raise ValueError(f"inner_guess must be 'previous' or 'zero', got {inner_guess!r}")
     cap = inner_max_iter if inner_max_iter is not None else 4 * sys.n2
     x0_1 = state.u1 if inner_guess == "previous" else np.zeros(sys.n1)
     rep1 = cg_solve(sys.A, sys.b1(state.u_gamma), x0=x0_1, criterion=criterion, max_iter=cap)

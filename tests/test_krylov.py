@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from inexactfp.krylov import (
+    DRIFT_GUARD_FACTOR,
     CriterionKind,
     TerminationCriterion,
     absolute,
@@ -190,3 +193,67 @@ def test_gmres_max_iter_reports_not_converged():
     rep = gmres_solve(A, np.ones(50), np.zeros(50), absolute(1e-14), max_iter=3)
     assert not rep.converged
     assert rep.iterations == 3
+    assert rep.breakdown == "iteration cap"
+
+
+# ---------------------------------------------------------------------------
+# attainable accuracy: thresholds below the float64 residual floor
+# ---------------------------------------------------------------------------
+
+SOLVERS = [cg_solve, gmres_solve]
+
+
+@pytest.mark.parametrize("solver", SOLVERS, ids=["cg", "gmres"])
+@pytest.mark.parametrize("n", [20, 50, 100])
+def test_threshold_below_floor_stops_at_attainable_accuracy(solver, n):
+    # the true residual floors near eps * ||A|| * ||x|| ~ 1e-14 here, fifteen
+    # orders above the threshold: the solve must stop and say why
+    A = laplacian_1d(n)
+    b = np.random.default_rng(n).normal(size=n)
+    max_iter = 1000 * n
+    rep = solver(A, b, np.zeros(n), absolute(1e-30), max_iter=max_iter)
+    assert rep.converged is False
+    assert rep.breakdown == "attainable accuracy"
+    assert rep.iterations <= max_iter // 100
+    true_res = norm2(b - A @ rep.solution)
+    assert true_res <= 1e-10 * norm2(b)
+    assert rep.final_residual_norm == pytest.approx(true_res, rel=1e-9)
+
+
+def test_cg_iteration_cap_reported_before_floor():
+    A = laplacian_1d(50)
+    b = np.random.default_rng(1).normal(size=50)
+    rep = cg_solve(A, b, np.zeros(50), absolute(1e-30), max_iter=10)
+    assert rep.converged is False
+    assert rep.iterations == 10
+    assert rep.breakdown == "iteration cap"
+
+
+@st.composite
+def spd_tridiagonal_problems(draw):
+    n = draw(st.integers(2, 40))
+    off = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1)))
+    margin = draw(st.floats(1e-3, 10.0))
+    # strict diagonal dominance with a positive diagonal makes it SPD
+    diag = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off]) + margin
+    A = sp.diags([off, diag, off], [-1, 0, 1]).tocsr()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = rng.normal(size=n)
+    x0 = rng.normal(size=n) if draw(st.booleans()) else np.zeros(n)
+    make = draw(st.sampled_from([relative_to_initial, relative_to_rhs, absolute]))
+    criterion = make(10.0 ** draw(st.floats(-18.0, 0.0)))
+    max_iter = draw(st.integers(1, 6 * n))
+    return A, b, x0, criterion, max_iter
+
+
+@pytest.mark.parametrize("solver", SOLVERS, ids=["cg", "gmres"])
+@settings(max_examples=150, deadline=None, database=None)
+@given(problem=spd_tridiagonal_problems())
+def test_reports_are_honest_property(solver, problem):
+    A, b, x0, criterion, max_iter = problem
+    rep = solver(A, b, x0, criterion, max_iter=max_iter)
+    assert rep.iterations <= max_iter
+    assert (rep.breakdown is None) == rep.converged
+    if rep.converged:
+        threshold = criterion.threshold(rep.initial_residual_norm, rep.rhs_norm)
+        assert norm2(b - A @ rep.solution) <= DRIFT_GUARD_FACTOR * threshold

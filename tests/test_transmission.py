@@ -84,6 +84,11 @@ def test_dn_step_matches_direct_solve_oracle(sys10):
     assert_allclose(new_state.u1, u1, atol=1e-8)
 
 
+def test_dn_step_rejects_unknown_inner_guess(sys10):
+    with pytest.raises(ValueError, match="inner_guess"):
+        dn_step(sys10, DnState.zeros(sys10), absolute(1e-6), inner_guess="previuos")
+
+
 def test_dn_iterate_relative_criterion_exact(sys10):
     trace = dn_iterate(sys10, relative_to_initial(1e-2), tol=1e-14)
     err_gamma, err_full = solution_errors(sys10, trace.dn_state)
