@@ -33,11 +33,8 @@ from .krylov import (
     relative_to_rhs,
 )
 from .linalg import (
-    ConditionEstimate,
     DimensionMismatchError,
     SingularMatrixError,
-    condition_estimate,
-    matvec,
     norm2,
     solve_direct,
 )
@@ -45,7 +42,6 @@ from .linalg import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConditionEstimate",
     "CriterionKind",
     "DimensionMismatchError",
     "FixedPointTrace",
@@ -61,7 +57,6 @@ __all__ = [
     "bound_direct",
     "bound_nested",
     "cg_solve",
-    "condition_estimate",
     "derived_schedule_from_LS",
     "estimate_lipschitz",
     "evaluate_criterion",
@@ -69,7 +64,6 @@ __all__ = [
     "iterate_nested",
     "iterate_perturbed",
     "iterate_plain",
-    "matvec",
     "norm2",
     "relative_to_initial",
     "relative_to_rhs",

@@ -160,7 +160,7 @@ class AcceptanceRuns:
                 sys_, make_criterion(label, tau), tol=tol,
                 max_iter=20_000, inner_guess=inner_guess,
             )
-            err_gamma, err_full = solution_errors(sys_, trace.dn_state)
+            err_gamma, err_full = solution_errors(sys_, trace.state)
             self._dn[key] = {
                 "trace": trace,
                 "interface_error": err_gamma,

@@ -412,7 +412,7 @@ def _transmission_runs(cfg, criteria_taus, dxs, tol, systems=None):
                 max_iter=cfg.max_outer or 100_000,
                 inner_guess=cfg.inner_guess,
             )
-            err_gamma, err_full = solution_errors(sys_, trace.dn_state)
+            err_gamma, err_full = solution_errors(sys_, trace.state)
             yield {
                 "criterion": label,
                 "tau": tau,

@@ -50,7 +50,9 @@ class FixedPointTrace:
     increment fewer than iterates. ``inner_reports`` holds, per outer step,
     the solve reports of that step (empty for maps evaluated exactly).
     ``residuals`` is populated only by drivers whose outer exit tests a
-    residual rather than the increment.
+    residual rather than the increment. ``state`` holds a driver's final
+    state beyond the iterate, when it has one (the subdomain solutions of a
+    Dirichlet-Neumann run).
     """
 
     iterates: list[np.ndarray]
@@ -59,6 +61,7 @@ class FixedPointTrace:
     terminated_by: Termination
     outer_tol: float
     residuals: list[float] | None = None
+    state: object | None = None
 
     @property
     def final(self) -> np.ndarray:

@@ -7,8 +7,6 @@ cross-check the iterative solvers; it never appears inside them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -29,16 +27,6 @@ class SingularMatrixError(RuntimeError):
 def norm2(x: np.ndarray) -> float:
     """Euclidean norm; 0 exactly iff x is the zero vector."""
     return float(np.linalg.norm(np.asarray(x, dtype=float)))
-
-
-def matvec(M, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product for dense or CSR matrices with shape checking."""
-    x = np.asarray(x, dtype=float)
-    if M.shape[1] != x.shape[0]:
-        raise DimensionMismatchError(
-            f"matrix is {M.shape[0]}x{M.shape[1]}, vector has length {x.shape[0]}"
-        )
-    return np.asarray(M @ x, dtype=float)
 
 
 def solve_direct(M, b: np.ndarray) -> np.ndarray:
@@ -92,81 +80,3 @@ def _solve_sparse(M, b: np.ndarray) -> np.ndarray:
     except RuntimeError as exc:  # SuperLU reports "singular" without an index
         raise SingularMatrixError(-1, f"sparse factorization failed: {exc}") from exc
     return lu.solve(b)
-
-
-@dataclass(frozen=True)
-class ConditionEstimate:
-    """Spectral condition number estimate. ``converged`` is a quality flag
-    only; the value is reported either way and never steers an algorithm."""
-
-    value: float
-    converged: bool
-    iterations: int
-
-
-def condition_estimate(M, rel_tol: float = 1e-3, max_iter: int = 20000) -> ConditionEstimate:
-    """Estimate kappa_2(M) = sigma_max / sigma_min via power iteration.
-
-    Runs power iteration on M^T M for the largest singular value and inverse
-    power iteration for the smallest (direct-solve backed for dense input,
-    CG backed for sparse). Aimed at ~5% relative accuracy for reporting.
-    """
-    n = M.shape[0]
-    if M.shape[0] != M.shape[1]:
-        raise DimensionMismatchError("condition_estimate needs a square matrix")
-    MT = M.T if not sp.issparse(M) else sp.csr_matrix(M).T.tocsr()
-
-    def fwd(v):
-        return MT @ (M @ v)
-
-    if sp.issparse(M):
-        MtM = (MT @ M).tocsr()
-
-        def inv(v):
-            return _cg_spd(MtM, v)
-    else:
-        def inv(v):
-            return _solve_dense(np.array(M, dtype=float), _solve_dense(np.array(MT, dtype=float), v.copy()))
-
-    smax2, ok_max, it_max = _power_iteration(fwd, n, rel_tol, max_iter)
-    smin2_inv, ok_min, it_min = _power_iteration(inv, n, rel_tol, max_iter)
-    value = float(np.sqrt(smax2 * smin2_inv))
-    return ConditionEstimate(value, ok_max and ok_min, it_max + it_min)
-
-
-def _power_iteration(apply_op, n: int, rel_tol: float, max_iter: int):
-    # deterministic, not axis-aligned start so symmetric spectra are still seen
-    v = 1.0 + np.arange(n) / (n + 1.0)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        w = apply_op(v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, True, it
-        v_new = w / nw
-        lam_new = float(v @ w)
-        if it > 1 and abs(lam_new - lam) <= rel_tol * abs(lam_new):
-            return lam_new, True, it
-        lam, v = lam_new, v_new
-    return lam, False, max_iter
-
-
-def _cg_spd(A, b: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    # private plain CG for the sparse inverse-power branch only
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    stop = rel_tol * np.sqrt(rs)
-    for _ in range(10 * len(b)):
-        Ap = A @ p
-        alpha = rs / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= stop:
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x

@@ -24,7 +24,6 @@ from .transmission import (
     exact_solution,
     field_rows,
     solution_errors,
-    spd_spot_check,
     transmission_assemble,
 )
 
@@ -48,6 +47,5 @@ __all__ = [
     "picard_iterate",
     "scalar_map",
     "solution_errors",
-    "spd_spot_check",
     "transmission_assemble",
 ]

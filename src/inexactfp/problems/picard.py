@@ -63,19 +63,10 @@ def picard_assemble(spec: PicardProblemSpec, x: np.ndarray):
     if x.shape[0] != spec.n:
         raise ValueError(f"velocity field has length {x.shape[0]}, grid has {spec.n}")
     n, h, nu = spec.n, spec.h, spec.viscosity
-    main = np.full(n, 2.0 * nu / h**2)
-    lower = np.full(n - 1, -nu / h**2)
-    upper = np.full(n - 1, -nu / h**2)
-    for i in range(n):
-        v = x[i]
-        if v >= 0.0:
-            main[i] += v / h
-            if i > 0:
-                lower[i - 1] -= v / h
-        else:
-            main[i] -= v / h
-            if i < n - 1:
-                upper[i] += v / h
+    # the upwind neighbour of row i is left of it when x_i >= 0, else right
+    main = 2.0 * nu / h**2 + np.abs(x) / h
+    lower = -nu / h**2 - np.where(x[1:] >= 0.0, x[1:], 0.0) / h
+    upper = -nu / h**2 + np.where(x[:-1] >= 0.0, 0.0, x[:-1]) / h
     A = sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
     b = A @ spec.exact_solution()
     return A, b

@@ -31,14 +31,13 @@ the relative-to-previous-iterate rule of the convergence theory.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..fixedpoint import DIVERGENCE_LIMIT, FixedPointTrace, Termination
+from ..fixedpoint import FixedPointTrace, _drive
 from ..krylov import SolveReport, TerminationCriterion, cg_solve
 from ..linalg import norm2, solve_direct
 
@@ -61,7 +60,15 @@ def default_forcing(x, y):
 
 @dataclass
 class TransmissionSystem:
-    """Assembled discrete operators of the two-subdomain problem."""
+    """Assembled discrete operators of the two-subdomain problem.
+
+    A monolithic vector is an ``(m, 2m + 1)`` row-major array over the
+    interior nodes (j, i), with ``m = n_cells - 1``: columns ``[:, :m]``
+    are Omega1, column ``m`` is the interface and ``[:, m + 1:]`` are
+    Omega2. Omega1 vectors are the ``(m, m)`` block flattened;
+    B-ordered vectors are the interface column followed by the flattened
+    Omega2 block.
+    """
 
     dx: float
     n_cells: int  # cells per unit length; interface at grid line n_cells
@@ -86,42 +93,26 @@ class TransmissionSystem:
     def n2(self) -> int:
         return self.B.shape[0]
 
-    # -- index maps (grid indices i in x, j in y, both counted from 0 at the
-    #    outer boundary; interface at i = n_cells) --------------------------
-    def idx1(self, i: int, j: int) -> int:
-        m = self.interface_count
-        return (j - 1) * m + (i - 1)
-
-    def idx_gamma(self, j: int) -> int:
-        return j - 1
-
-    def idx2(self, i: int, j: int) -> int:
-        m = self.interface_count
-        return m + (j - 1) * m + (i - self.n_cells - 1)
-
-    def idx_mono(self, i: int, j: int) -> int:
-        return (j - 1) * (2 * self.n_cells - 1) + (i - 1)
+    def grid(self, v: np.ndarray) -> np.ndarray:
+        """View of a flat grid vector as its rows j = 1 .. n_cells - 1."""
+        return v.reshape(self.interface_count, -1)
 
     # -- right-hand side builders ------------------------------------------
     def b1(self, u_gamma: np.ndarray) -> np.ndarray:
         """Dirichlet block rhs: forcing plus interface data on the adjacent column."""
-        m = self.interface_count
-        b = -self.f_omega1.copy()
-        ih2 = 1.0 / self.dx**2
-        b[np.arange(m) * m + (m - 1)] += u_gamma * ih2
+        b = -self.f_omega1
+        self.grid(b)[:, -1] += u_gamma * (1.0 / self.dx**2)
         return b
 
     def b2(self, u1_coupling: np.ndarray) -> np.ndarray:
         """Neumann block rhs: forcing plus the Omega1 neighbour column values."""
-        m = self.interface_count
-        b = -self.f_block2.copy()
-        b[:m] += u1_coupling * (1.0 / self.dx**2)
+        b = -self.f_block2
+        b[: self.interface_count] += u1_coupling * (1.0 / self.dx**2)
         return b
 
     def coupling_column(self, u1: np.ndarray) -> np.ndarray:
         """The interface-adjacent column of an Omega1 solution."""
-        m = self.interface_count
-        return u1[np.arange(m) * m + (m - 1)]
+        return self.grid(u1)[:, -1].copy()
 
     # -- oracles -------------------------------------------------------------
     def monolithic_solution(self) -> np.ndarray:
@@ -130,39 +121,51 @@ class TransmissionSystem:
         return self._monolithic_solution
 
     def monolithic_interface(self) -> np.ndarray:
-        u = self.monolithic_solution()
-        n = self.n_cells
-        return np.array([u[self.idx_mono(n, j)] for j in range(1, n)])
+        return self.grid(self.monolithic_solution())[:, self.interface_count].copy()
 
     def assemble_full(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
         """Stack subdomain solutions into monolithic ordering."""
-        n = self.n_cells
+        m = self.interface_count
         full = np.empty_like(self.monolithic_rhs)
-        for j in range(1, n):
-            for i in range(1, n):
-                full[self.idx_mono(i, j)] = u1[self.idx1(i, j)]
-            full[self.idx_mono(n, j)] = u2[self.idx_gamma(j)]
-            for i in range(n + 1, 2 * n):
-                full[self.idx_mono(i, j)] = u2[self.idx2(i, j)]
+        grid = self.grid(full)
+        grid[:, :m] = self.grid(u1)
+        grid[:, m] = u2[:m]
+        grid[:, m + 1:] = self.grid(u2[m:])
         return full
 
     def discretization_max_error(self) -> float:
         """Max-norm error of the monolithic solution against the exact field."""
         if not self.manufactured:
             raise ValueError("no closed-form solution for a custom forcing")
-        n, h = self.n_cells, self.dx
-        u = self.monolithic_solution()
-        err = 0.0
-        for j in range(1, n):
-            for i in range(1, 2 * n):
-                err = max(err, abs(u[self.idx_mono(i, j)] - exact_solution(i * h, j * h)))
-        return err
+        n = self.n_cells
+        y, x = np.mgrid[1:n, 1 : 2 * n] * self.dx
+        u = self.grid(self.monolithic_solution())
+        return float(np.abs(u - exact_solution(x, y)).max())
+
+
+def _laplacian(rows: int, cols: int) -> sp.csr_matrix:
+    """Unscaled negated five-point Laplacian on a row-major (rows, cols) grid
+    of interior nodes with zero boundary values: 4 on the diagonal, -1 per
+    neighbour, no stored zeros."""
+
+    def second_difference(k):
+        return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
+
+    L = sp.kron(sp.identity(rows), second_difference(cols), format="csr")
+    L = L + sp.kron(second_difference(rows), sp.identity(cols), format="csr")
+    L.eliminate_zeros()
+    return L
 
 
 def transmission_assemble(
     dx: float, forcing: Callable | None = None
 ) -> TransmissionSystem:
-    """Assemble all operators for mesh width ``dx`` (1/dx must be an integer)."""
+    """Assemble all operators for mesh width ``dx`` (1/dx must be an integer).
+
+    ``forcing(x, y)`` is called once, with x and y arrays of the sample
+    points (the interior nodes plus the interface at x = 1); it returns an
+    array of their shape or a scalar, which broadcasts to every point.
+    """
     n = round(1.0 / dx)
     if n < 2 or abs(n * dx - 1.0) > 1e-12:
         raise ValueError(f"1/dx must be a positive integer >= 2, got dx={dx}")
@@ -171,74 +174,33 @@ def transmission_assemble(
     m = n - 1
     ih2 = 1.0 / h**2
 
-    sys = TransmissionSystem(
+    # forcing on the (j, i) interior grid, plus one last column at x = 1
+    # exactly for the interface rows of B (n * h can miss 1 by an ulp)
+    y, x = np.mgrid[1:n, 1 : 2 * n + 1] * h
+    x[:, -1] = 1.0
+    fs = np.empty(x.shape)
+    fs[...] = f(x, y)
+
+    A = ih2 * _laplacian(m, m)
+    # interface rows keep the full five-point stencil: a tridiagonal block
+    # along the interface and a link to the first Omega2 column i = n + 1
+    gamma = ih2 * sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(m, m))
+    link = -ih2 * sp.kron(sp.identity(m), sp.eye(1, m))
+    B = sp.bmat([[gamma, link], [link.T, A]], format="csr")
+    B.eliminate_zeros()
+    B.sort_indices()
+
+    return TransmissionSystem(
         dx=h,
         n_cells=n,
-        A=None,  # filled below; indices need the instance
-        B=None,
-        monolithic=None,
-        monolithic_rhs=None,
-        f_omega1=None,
-        f_block2=None,
+        A=A,
+        B=B,
+        monolithic=ih2 * _laplacian(m, 2 * n - 1),
+        monolithic_rhs=-fs[:, :-1].ravel(),
+        f_omega1=fs[:, :m].ravel(),
+        f_block2=np.concatenate([fs[:, -1], fs[:, n:-1].ravel()]),
         manufactured=forcing is None,
     )
-
-    # Omega1 interior block
-    rows, cols, vals = [], [], []
-    f1 = np.empty(m * m)
-    for j in range(1, n):
-        for i in range(1, n):
-            k = sys.idx1(i, j)
-            f1[k] = f(i * h, j * h)
-            rows.append(k); cols.append(k); vals.append(4.0 * ih2)
-            for ii, jj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if 1 <= ii <= m and 1 <= jj <= m:
-                    rows.append(k); cols.append(sys.idx1(ii, jj)); vals.append(-ih2)
-    sys.A = sp.csr_matrix((vals, (rows, cols)), shape=(m * m, m * m))
-    sys.f_omega1 = f1
-
-    # interface + Omega2 interior block, full five-point interface rows
-    n2 = m + m * m
-    rows, cols, vals = [], [], []
-    fB = np.empty(n2)
-    for j in range(1, n):
-        k = sys.idx_gamma(j)
-        fB[k] = f(1.0, j * h)
-        rows.append(k); cols.append(k); vals.append(4.0 * ih2)
-        for jj in (j - 1, j + 1):
-            if 1 <= jj <= m:
-                rows.append(k); cols.append(sys.idx_gamma(jj)); vals.append(-ih2)
-        rows.append(k); cols.append(sys.idx2(n + 1, j)); vals.append(-ih2)
-    for j in range(1, n):
-        for i in range(n + 1, 2 * n):
-            k = sys.idx2(i, j)
-            fB[k] = f(i * h, j * h)
-            rows.append(k); cols.append(k); vals.append(4.0 * ih2)
-            for ii, jj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if jj < 1 or jj > m or ii > 2 * n - 1:
-                    continue
-                if ii == n:
-                    rows.append(k); cols.append(sys.idx_gamma(jj)); vals.append(-ih2)
-                else:
-                    rows.append(k); cols.append(sys.idx2(ii, jj)); vals.append(-ih2)
-    sys.B = sp.csr_matrix((vals, (rows, cols)), shape=(n2, n2))
-    sys.f_block2 = fB
-
-    # monolithic five-point system on the whole strip
-    nM = (2 * n - 1) * m
-    rows, cols, vals = [], [], []
-    bM = np.empty(nM)
-    for j in range(1, n):
-        for i in range(1, 2 * n):
-            k = sys.idx_mono(i, j)
-            bM[k] = -f(i * h, j * h)
-            rows.append(k); cols.append(k); vals.append(4.0 * ih2)
-            for ii, jj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if 1 <= ii <= 2 * n - 1 and 1 <= jj <= m:
-                    rows.append(k); cols.append(sys.idx_mono(ii, jj)); vals.append(-ih2)
-    sys.monolithic = sp.csr_matrix((vals, (rows, cols)), shape=(nM, nM))
-    sys.monolithic_rhs = bM
-    return sys
 
 
 @dataclass
@@ -264,17 +226,13 @@ class DnState:
     @classmethod
     def from_monolithic(cls, sys: TransmissionSystem) -> "DnState":
         """The exact coupled fixed point, restricted to the blocks."""
-        u = sys.monolithic_solution()
-        n = sys.n_cells
-        u1 = np.empty(sys.n1)
-        u2 = np.empty(sys.n2)
-        for j in range(1, n):
-            for i in range(1, n):
-                u1[sys.idx1(i, j)] = u[sys.idx_mono(i, j)]
-            u2[sys.idx_gamma(j)] = u[sys.idx_mono(n, j)]
-            for i in range(n + 1, 2 * n):
-                u2[sys.idx2(i, j)] = u[sys.idx_mono(i, j)]
-        return cls(u_gamma=sys.monolithic_interface(), u1=u1, u2=u2)
+        u = sys.grid(sys.monolithic_solution())
+        m = sys.interface_count
+        return cls(
+            u_gamma=sys.monolithic_interface(),
+            u1=u[:, :m].flatten(),
+            u2=np.concatenate([u[:, m], u[:, m + 1:].ravel()]),
+        )
 
 
 def dn_step(
@@ -320,31 +278,15 @@ def dn_iterate(
 ) -> FixedPointTrace:
     """Iterate sweeps from zero interface values until the interface increment
     drops below ``tol``; the trace records both solve reports per sweep."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     state = DnState.zeros(sys)
-    iterates = [state.u_gamma]
-    increments: list[float] = []
-    reports: list[list[SolveReport]] = []
-    terminated = Termination.MAX_ITER
-    for _ in range(max_iter):
-        new_state, (rep1, rep2) = dn_step(sys, state, criterion, inner_guess, inner_max_iter)
-        inc = norm2(new_state.u_gamma - state.u_gamma)
-        iterates.append(new_state.u_gamma)
-        increments.append(inc)
-        reports.append([rep1, rep2])
-        state = new_state
-        if not np.all(np.isfinite(state.u_gamma)) or inc > DIVERGENCE_LIMIT:
-            terminated = Termination.DIVERGED
-            break
-        if inc == 0.0 and rep1.iterations == 0 and rep2.iterations == 0:
-            terminated = Termination.INNER_STAGNATION
-            break
-        if inc <= tol:
-            terminated = Termination.INCREMENT_BELOW_TOL
-            break
-    trace = FixedPointTrace(iterates, increments, reports, terminated, tol)
-    trace.dn_state = state  # final subdomain solutions for error metrics
+
+    def step(u_gamma, k):
+        nonlocal state
+        state, reports = dn_step(sys, state, criterion, inner_guess, inner_max_iter)
+        return state.u_gamma, list(reports)
+
+    trace = _drive(step, state.u_gamma, tol, max_iter)
+    trace.state = state
     return trace
 
 
@@ -362,40 +304,15 @@ def field_rows(sys: TransmissionSystem, which: str):
     ``which`` is "exact" for the closed-form field or "discrete" for the
     monolithic finite difference solution; boundary points carry zeros.
     """
-    n, h = sys.n_cells, sys.dx
+    n = sys.n_cells
+    y, x = np.mgrid[0 : n + 1, 0 : 2 * n + 1] * sys.dx
     if which == "exact":
         if not sys.manufactured:
             raise ValueError("no closed-form solution for a custom forcing")
-
-        def value(i, j):
-            return float(exact_solution(i * h, j * h))
+        values = exact_solution(x, y)
     elif which == "discrete":
-        u = sys.monolithic_solution()
-
-        def value(i, j):
-            if i == 0 or i == 2 * n or j == 0 or j == n:
-                return 0.0
-            return float(u[sys.idx_mono(i, j)])
+        values = np.zeros(x.shape)
+        values[1:n, 1 : 2 * n] = sys.grid(sys.monolithic_solution())
     else:
         raise ValueError(f"unknown field {which!r}; expected 'exact' or 'discrete'")
-    for j in range(n + 1):
-        for i in range(2 * n + 1):
-            yield (i * h, j * h, value(i, j))
-
-
-def spd_spot_check(matrix: sp.csr_matrix, probes: int = 3) -> bool:
-    """Cheap positive-definiteness check: Rayleigh quotients of a few Lanczos
-    steps stay positive and CG makes progress on a random-ish rhs."""
-    n = matrix.shape[0]
-    v = np.sin(np.arange(1, n + 1) * 0.7)
-    v /= norm2(v)
-    for _ in range(probes):
-        w = matrix @ v
-        if float(v @ w) <= 0.0:
-            return False
-        nw = norm2(w)
-        if nw == 0.0:
-            return False
-        v = w / nw
-    sym_gap = abs(matrix - matrix.T)
-    return sym_gap.max() == 0.0 if sym_gap.nnz else True
+    yield from zip(x.ravel().tolist(), y.ravel().tolist(), values.ravel().tolist())

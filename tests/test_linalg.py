@@ -4,48 +4,10 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from inexactfp.linalg import (
-    DimensionMismatchError,
     SingularMatrixError,
-    condition_estimate,
-    matvec,
     norm2,
     solve_direct,
 )
-
-
-def test_matvec_identity():
-    assert_allclose(matvec(np.eye(3), np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
-
-
-def test_matvec_zero_matrix():
-    assert_allclose(matvec(np.zeros((2, 2)), np.array([5.0, 7.0])), [0.0, 0.0])
-
-
-def test_matvec_coupling_matrix():
-    # A with alpha = 0.1: second entry is 0.001*1 + 0.001*1
-    A = np.array([[0.1, 0.0], [0.001, 0.001]])
-    assert_allclose(matvec(A, np.ones(2)), [0.1, 0.002], rtol=1e-14)
-
-
-def test_matvec_sparse_matches_dense():
-    rng = np.random.default_rng(0)
-    A = rng.normal(size=(7, 7))
-    x = rng.normal(size=7)
-    assert_allclose(matvec(sp.csr_matrix(A), x), matvec(A, x), rtol=1e-14)
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        matvec(np.eye(3), np.ones(4))
-
-
-def test_matvec_against_triple_loop():
-    rng = np.random.default_rng(42)
-    for _ in range(5):
-        A = rng.normal(size=(10, 10))
-        x = rng.normal(size=10)
-        expected = np.array([sum(A[i, j] * x[j] for j in range(10)) for i in range(10)])
-        assert_allclose(matvec(A, x), expected, rtol=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -106,30 +68,3 @@ def test_solve_direct_sparse_matches_dense():
     M = rng.normal(size=(12, 12)) + 12 * np.eye(12)
     b = rng.normal(size=12)
     assert_allclose(solve_direct(sp.csr_matrix(M), b), solve_direct(M, b), rtol=1e-10)
-
-
-def test_condition_identity():
-    est = condition_estimate(np.eye(5))
-    assert est.value == pytest.approx(1.0, rel=0.05)
-
-
-def test_condition_diagonal():
-    est = condition_estimate(np.diag([10.0, 1.0]))
-    assert est.value == pytest.approx(10.0, rel=0.05)
-
-
-def test_condition_laplacian_n4():
-    # eigenvalues 2 - 2 cos(k pi / 5); ratio of extremes is 9.472136
-    T = np.diag(np.full(4, 2.0)) + np.diag(np.full(3, -1.0), 1) + np.diag(np.full(3, -1.0), -1)
-    est = condition_estimate(T)
-    assert est.value == pytest.approx(9.472136, rel=0.05)
-
-
-def test_condition_sparse_vs_svd():
-    n = 20
-    T = sp.diags(
-        [np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)], [-1, 0, 1]
-    ).tocsr()
-    svals = np.linalg.svd(T.toarray(), compute_uv=False)
-    est = condition_estimate(T)
-    assert est.value == pytest.approx(svals[0] / svals[-1], rel=0.05)
