@@ -3,8 +3,9 @@
 Expected values are pinned as module constants. Four pinned entries
 correct obvious exponent misprints in the source data; the corrections
 follow from the exact proportionality in epsilon and from the bound
-formula and are marked below. Heavy runs are cached so overlapping
-criteria share them.
+formula and are marked below. Every criterion that needs a sweep runs the
+experiment of the same name through ``run_experiment`` and asserts on its
+row dicts, so a verdict always describes the table the CLI emits.
 """
 
 from __future__ import annotations
@@ -13,30 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fixedpoint import (
-    PerturbationSchedule,
-    Termination,
-    bound_direct,
-    bound_nested,
-    iterate_nested,
-    iterate_perturbed,
-    iterate_plain,
-)
-from .krylov import absolute, cg_solve, evaluate_criterion, gmres_solve, relative_to_initial
+from .experiments import ExperimentConfig, run_experiment
+from .fixedpoint import Termination, bound_nested
+from .krylov import absolute, cg_solve, gmres_solve, relative_to_initial
 from .linalg import norm2, solve_direct
-from .problems import (
-    NestedScalarSpec,
-    PicardProblemSpec,
-    ScalarMapSpec,
-    dn_iterate,
-    linear_nested,
-    nested_scalar,
-    picard_iterate,
-    scalar_map,
-    solution_errors,
-    transmission_assemble,
-)
-from .experiments import make_criterion
+from .problems import transmission_assemble
 
 # ---------------------------------------------------------------------------
 # frozen reference values
@@ -139,82 +121,43 @@ class CheckResult:
         self.details.append(("ok   " if ok else "FAIL ") + text)
 
 
-class AcceptanceRuns:
-    """Lazy cache of the expensive coupled runs shared between criteria."""
-
-    def __init__(self):
-        self._systems = {}
-        self._dn = {}
-
-    def system(self, dx: float):
-        if dx not in self._systems:
-            self._systems[dx] = transmission_assemble(dx)
-        return self._systems[dx]
-
-    def dn(self, dx: float, label: str, tau: float, tol: float = 1e-14,
-           inner_guess: str = "previous"):
-        key = (dx, label, tau, tol, inner_guess)
-        if key not in self._dn:
-            sys_ = self.system(dx)
-            trace = dn_iterate(
-                sys_, make_criterion(label, tau), tol=tol,
-                max_iter=20_000, inner_guess=inner_guess,
-            )
-            err_gamma, err_full = solution_errors(sys_, trace.state)
-            self._dn[key] = {
-                "trace": trace,
-                "interface_error": err_gamma,
-                "full_error": err_full,
-            }
-        return self._dn[key]
-
-
 def _rel(measured: float, expected: float) -> float:
     return abs(measured - expected) / abs(expected)
+
+
+def _rows(experiment: str, **grid) -> list[dict]:
+    return run_experiment(ExperimentConfig(experiment, **grid)).rows
 
 
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
 
-def check_a1(runs: AcceptanceRuns) -> CheckResult:
+def check_a1() -> CheckResult:
     res = CheckResult("A1", "scalar direct perturbation vs reference table", True)
-    for gamma, per_eps in SCALAR_DIRECT_REFERENCE.items():
-        f, lip = scalar_map(ScalarMapSpec(gamma))
-        x_star = iterate_plain(f, 0.5, tol=1e-14).final
-        for eps, expected in per_eps.items():
-            schedule = PerturbationSchedule.constant(eps, direction=[1.0])
-            trace = iterate_perturbed(f, schedule, 0.5, tol=1e-14)
-            err = float(abs(trace.final - x_star)[0])
-            res.require(
-                _rel(err, expected) <= 0.01,
-                f"gamma={gamma} eps={eps:.0e}: |x_eps-x*|={err:.4e} vs {expected:.3e} "
-                f"({100 * _rel(err, expected):.2f}%)",
-            )
-            bound = bound_direct(eps, lip.L)
-            res.require(err <= bound + 1e-10, f"  and within bound {bound:.4e}")
+    rows = _rows("scalar-direct", gammas=list(SCALAR_DIRECT_REFERENCE),
+                 eps_values=[1e-1, 1e-2, 1e-3])
+    for row in rows:
+        gamma, eps, err = row["gamma"], row["eps"], row["error"]
+        expected = SCALAR_DIRECT_REFERENCE[gamma][eps]
+        res.require(
+            _rel(err, expected) <= 0.01,
+            f"gamma={gamma} eps={eps:.0e}: |x_eps-x*|={err:.4e} vs {expected:.3e} "
+            f"({100 * _rel(err, expected):.2f}%)",
+        )
+        res.require(err <= row["bound"] + 1e-10, f"  and within bound {row['bound']:.4e}")
     return res
 
 
-def check_a2(runs: AcceptanceRuns) -> CheckResult:
+def check_a2() -> CheckResult:
     res = CheckResult("A2", "adaptive schedules reach machine-level error", True)
-    for gamma in (0.3, 1.145, 1.2):
-        f, lip = scalar_map(ScalarMapSpec(gamma))
-        x_star = iterate_plain(f, 0.5, tol=1e-15).final
-        schedule = PerturbationSchedule.adaptive(1e-2, lip.L, direction=[1.0])
-        trace = iterate_perturbed(f, schedule, 0.5, tol=1e-15)
-        err = float(abs(trace.final - x_star)[0])
-        res.require(err <= 1e-12, f"scalar gamma={gamma}: |x-x*|={err:.2e} <= 1e-12")
-    S, F, L_S, L_F = nested_scalar(NestedScalarSpec.from_lipschitz(0.9, 0.99))
-    x_star = iterate_plain(lambda x: S(F(x)), 0.5, tol=1e-15).final
-    schedule = PerturbationSchedule.adaptive(1e-2, L_S * L_F, direction=[1.0])
-    trace = iterate_nested(S, F, schedule, schedule, 0.5, tol=1e-15)
-    err = float(abs(trace.final - x_star)[0])
-    res.require(err <= 1e-12, f"nested LS=0.9 LF=0.99: |x-x*|={err:.2e} <= 1e-12")
+    for row in _rows("scalar-adaptive"):
+        res.require(row["error"] <= 1e-12,
+                    f"{row['problem']}: |x-x*|={row['error']:.2e} <= 1e-12")
     return res
 
 
-def check_a3(runs: AcceptanceRuns) -> CheckResult:
+def check_a3() -> CheckResult:
     res = CheckResult("A3", "nested bound values vs reference estimates", True)
     for eps in NESTED_EPS_VALUES:
         for (alpha, beta), base in LINEAR_NESTED_BOUND_REFERENCE.items():
@@ -227,64 +170,59 @@ def check_a3(runs: AcceptanceRuns) -> CheckResult:
     return res
 
 
-def check_a4(runs: AcceptanceRuns) -> CheckResult:
+def check_a4() -> CheckResult:
     res = CheckResult("A4", "nested measured errors (all-ones direction)", True)
-    for eps in NESTED_EPS_VALUES:
-        for (alpha, beta), base in LINEAR_NESTED_MEASURED_BASE.items():
-            expected = base * (eps / 1e-1)
-            problem = linear_nested(alpha, beta)
-            schedule = PerturbationSchedule.constant(eps)
-            trace = iterate_nested(
-                problem.S, problem.F, schedule, schedule, np.zeros(2), tol=1e-14
-            )
-            err = norm2(trace.final - problem.x_star)
-            ratio = err / expected
-            bound = bound_nested(eps, eps, alpha, beta)
-            res.require(
-                0.7 <= ratio <= 1.3 and err <= bound,
-                f"eps={eps:.0e} a={alpha} b={beta}: measured={err:.4e} "
-                f"({ratio:.3f}x reference, bound {bound:.3e})",
-            )
-    return res
-
-
-def check_a5(runs: AcceptanceRuns) -> CheckResult:
-    res = CheckResult("A5", "nested scalar table: global estimates and measured", True)
-    for eps in NESTED_EPS_VALUES:
-        for L_S in NESTED_LS_VALUES:
-            for j, L_F in enumerate(NESTED_LF_VALUES):
-                expected_glob = SCALAR_NESTED_GLOBAL_REFERENCE[eps][L_S][j]
-                glob = bound_nested(eps, eps, L_S, L_F)
-                res.require(
-                    _rel(glob, expected_glob) <= 0.01,
-                    f"eps={eps:.0e} LS={L_S} LF={L_F}: global={glob:.4e} vs {expected_glob:.3e}",
-                )
-                S, F, _, _ = nested_scalar(NestedScalarSpec.from_lipschitz(L_S, L_F))
-                x_star = iterate_plain(lambda x: S(F(x)), 0.5, tol=1e-14).final
-                schedule = PerturbationSchedule.constant(eps, direction=[1.0])
-                trace = iterate_nested(S, F, schedule, schedule, 0.5, tol=1e-14)
-                err = float(abs(trace.final - x_star)[0])
-                expected_meas = SCALAR_NESTED_MEASURED_REFERENCE[eps][L_S][j]
-                res.require(
-                    _rel(err, expected_meas) <= 0.05 and err <= glob,
-                    f"  measured={err:.4e} vs {expected_meas:.3e} "
-                    f"({100 * _rel(err, expected_meas):.2f}%), <= global",
-                )
-    return res
-
-
-def check_a6(runs: AcceptanceRuns) -> CheckResult:
-    res = CheckResult("A6", "Picard dichotomy on the substitute problem", True)
-    spec = PicardProblemSpec(n=64, viscosity=1e-2)
-    rel_taus = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7]
-    gmres_counts = {}
-    for tau in rel_taus:
-        trace = picard_iterate(spec, relative_to_initial(tau), tol=1e-12)
-        gmres_counts[tau] = trace.total_inner_iterations
+    for row in _rows("linear-nested", eps_values=list(NESTED_EPS_VALUES)):
+        eps, alpha, beta = row["eps"], row["alpha"], row["beta"]
+        expected = LINEAR_NESTED_MEASURED_BASE[alpha, beta] * (eps / 1e-1)
+        err, bound = row["error"], row["bound"]
+        ratio = err / expected
         res.require(
-            trace.residuals[-1] <= 1e-12,
-            f"rel tau={tau:.0e}: residual={trace.residuals[-1]:.2e} <= 1e-12 "
-            f"(outer={trace.steps}, gmres={trace.total_inner_iterations})",
+            0.7 <= ratio <= 1.3 and err <= bound,
+            f"eps={eps:.0e} a={alpha} b={beta}: measured={err:.4e} "
+            f"({ratio:.3f}x reference, bound {bound:.3e})",
+        )
+    return res
+
+
+def _scalar_nested_rows(eps_values) -> list[dict]:
+    return _rows("scalar-nested", eps_values=list(eps_values),
+                 ls_values=list(NESTED_LS_VALUES), lf_values=list(NESTED_LF_VALUES))
+
+
+def check_a5() -> CheckResult:
+    res = CheckResult("A5", "nested scalar table: global estimates and measured", True)
+    for row in _scalar_nested_rows(NESTED_EPS_VALUES):
+        eps, L_S, L_F = row["eps"], row["L_S"], row["L_F"]
+        j = NESTED_LF_VALUES.index(L_F)
+        expected_glob = SCALAR_NESTED_GLOBAL_REFERENCE[eps][L_S][j]
+        glob = row["global_estimate"]
+        res.require(
+            _rel(glob, expected_glob) <= 0.01,
+            f"eps={eps:.0e} LS={L_S} LF={L_F}: global={glob:.4e} vs {expected_glob:.3e}",
+        )
+        err = row["error"]
+        expected_meas = SCALAR_NESTED_MEASURED_REFERENCE[eps][L_S][j]
+        res.require(
+            _rel(err, expected_meas) <= 0.05 and err <= glob,
+            f"  measured={err:.4e} vs {expected_meas:.3e} "
+            f"({100 * _rel(err, expected_meas):.2f}%), <= global",
+        )
+    return res
+
+
+def check_a6() -> CheckResult:
+    res = CheckResult("A6", "Picard dichotomy on the substitute problem", True)
+    rows = _rows("picard")
+    gmres_counts = {}
+    for row in rows:
+        if row["criterion"] != "rel":
+            continue
+        gmres_counts[row["tau"]] = row["gmres_iterations"]
+        res.require(
+            row["residual"] <= 1e-12,
+            f"rel tau={row['tau']:.0e}: residual={row['residual']:.2e} <= 1e-12 "
+            f"(outer={row['outer_iterations']}, gmres={row['gmres_iterations']})",
         )
     cheapest = min(gmres_counts.values())
     res.require(
@@ -292,10 +230,10 @@ def check_a6(runs: AcceptanceRuns) -> CheckResult:
         f"tau=1e-1 cheapest: {gmres_counts[1e-1]} gmres vs min {cheapest} (10% slack)",
     )
     plateau = []
-    for tau in (1e-2, 1e-3, 1e-4, 1e-5):
-        trace = picard_iterate(spec, absolute(tau), tol=1e-12)
-        plateau.append(trace.residuals[-1])
-        res.line(f"     abs tau={tau:.0e}: stagnation residual {plateau[-1]:.3e}")
+    for row in rows:
+        if row["criterion"] == "abs":
+            plateau.append(row["residual"])
+            res.line(f"     abs tau={row['tau']:.0e}: stagnation residual {plateau[-1]:.3e}")
     res.require(
         all(plateau[i] > plateau[i + 1] for i in range(len(plateau) - 1)),
         "stagnation residuals decrease monotonically with tau",
@@ -310,26 +248,25 @@ A7_DXS = (0.1, 0.05, 0.025)
 A7_TAUS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
-def check_a7(runs: AcceptanceRuns) -> CheckResult:
+def check_a7() -> CheckResult:
     res = CheckResult("A7", "transmission exactness under the relative criterion", True)
-    for dx in A7_DXS:
-        for tau in A7_TAUS:
-            out = runs.dn(dx, "rel", tau)
-            res.require(
-                out["interface_error"] <= 1e-9,
-                f"dx={dx} tau={tau:.0e}: interface error {out['interface_error']:.2e} "
-                f"(outer={out['trace'].steps}, cg={out['trace'].total_inner_iterations})",
-            )
+    for row in _rows("transmission-iters", dxs=list(A7_DXS), taus=list(A7_TAUS)):
+        res.require(
+            row["interface_error"] <= 1e-9,
+            f"dx={row['dx']} tau={row['tau']:.0e}: interface error "
+            f"{row['interface_error']:.2e} "
+            f"(outer={row['outer_iterations']}, cg={row['cg_iterations']})",
+        )
     return res
 
 
-def check_a8(runs: AcceptanceRuns) -> CheckResult:
+def check_a8() -> CheckResult:
     res = CheckResult("A8", "transmission absolute-criterion plateau", True)
     for dx, per_tau in TRANSMISSION_ABS_REFERENCE.items():
         errors = []
-        for tau, expected in per_tau.items():
-            out = runs.dn(dx, "abs", tau)
-            err = out["full_error"]
+        for row in _rows("transmission-error", criterion="abs", dxs=[dx], taus=list(per_tau)):
+            tau, err = row["tau"], row["full_error"]
+            expected = per_tau[tau]
             errors.append(err)
             factor = err / expected
             res.require(
@@ -342,19 +279,21 @@ def check_a8(runs: AcceptanceRuns) -> CheckResult:
     return res
 
 
-def check_a9(runs: AcceptanceRuns) -> CheckResult:
+def check_a9() -> CheckResult:
     res = CheckResult("A9", "transmission rhs-relative criterion", True)
-    out = runs.dn(0.025, "relb", 1e-1)
-    diverged = out["trace"].terminated_by is Termination.DIVERGED
+    (row,) = _rows("transmission-error", criterion="relb", taus=[1e-1], dxs=[0.025])
+    diverged = row["status"] == Termination.DIVERGED.value
     res.require(
-        diverged or out["full_error"] > 1e2,
-        f"dx=1/40 tau=1e-1: status={out['trace'].terminated_by.value}, "
-        f"error={out['full_error']:.3e} (expected divergence or error > 1e2; "
+        diverged or row["full_error"] > 1e2,
+        f"dx=1/40 tau=1e-1: status={row['status']}, "
+        f"error={row['full_error']:.3e} (expected divergence or error > 1e2; "
         "not reproducible with this CG, see ledger)",
     )
-    for tau, expected in TRANSMISSION_RELB_REFERENCE.items():
-        out = runs.dn(0.1, "relb", tau)
-        err = out["full_error"]
+    rows = _rows("transmission-error", criterion="relb",
+                 taus=list(TRANSMISSION_RELB_REFERENCE), dxs=[0.1])
+    for row in rows:
+        tau, err = row["tau"], row["full_error"]
+        expected = TRANSMISSION_RELB_REFERENCE[tau]
         factor = err / expected
         res.require(
             1 / 5 <= factor <= 5,
@@ -363,14 +302,11 @@ def check_a9(runs: AcceptanceRuns) -> CheckResult:
     return res
 
 
-def check_a10(runs: AcceptanceRuns) -> CheckResult:
+def check_a10() -> CheckResult:
     res = CheckResult("A10", "transmission efficiency structure", True)
-    outers = {}
-    cgs = {}
-    for tau in A7_TAUS:
-        out = runs.dn(0.1, "rel", tau)
-        outers[tau] = out["trace"].steps
-        cgs[tau] = out["trace"].total_inner_iterations
+    rows = _rows("transmission-iters", dxs=[0.1], taus=list(A7_TAUS))
+    outers = {row["tau"]: row["outer_iterations"] for row in rows}
+    cgs = {row["tau"]: row["cg_iterations"] for row in rows}
     band = (TRANSMISSION_OUTER_REFERENCE * 0.8, TRANSMISSION_OUTER_REFERENCE * 1.2)
     stable = [outers[t] for t in (1e-2, 1e-3, 1e-4)]
     for tau in (1e-2, 1e-3, 1e-4):
@@ -384,52 +320,33 @@ def check_a10(runs: AcceptanceRuns) -> CheckResult:
         all(ordered[i] < ordered[i + 1] for i in range(3)),
         f"cumulative cg strictly increases as tau tightens: {ordered}",
     )
+    rows = _rows("transmission-efficiency", outer_tols=[1e-2, 1e-3, 1e-4], dxs=[0.05])
+    cg = {(row["outer_tol"], row["criterion"]): row["cg_iterations"] for row in rows}
     for outer_tol in (1e-2, 1e-3, 1e-4):
-        rel_run = runs.dn(0.05, "rel", 1e-1, tol=outer_tol)
-        abs_run = runs.dn(0.05, "abs", outer_tol, tol=outer_tol)
-        ratio = abs_run["trace"].total_inner_iterations / max(
-            rel_run["trace"].total_inner_iterations, 1
-        )
+        cg_rel, cg_abs = cg[outer_tol, "rel"], cg[outer_tol, "abs"]
+        ratio = cg_abs / max(cg_rel, 1)
         res.require(
             ratio > 1.5,
-            f"TOL={outer_tol:.0e}: cg(abs)/cg(rel) = "
-            f"{abs_run['trace'].total_inner_iterations}/{rel_run['trace'].total_inner_iterations}"
-            f" = {ratio:.2f} > 1.5",
+            f"TOL={outer_tol:.0e}: cg(abs)/cg(rel) = {cg_abs}/{cg_rel} = {ratio:.2f} > 1.5",
         )
     return res
 
 
-def check_a11(runs: AcceptanceRuns) -> CheckResult:
+def check_a11() -> CheckResult:
     res = CheckResult("A11", "property suite", True)
 
     # direct-perturbation bound dominates the measured error (scalar maps)
-    for gamma in (0.3, 1.145, 1.2):
-        f, lip = scalar_map(ScalarMapSpec(gamma))
-        x_star = iterate_plain(f, 0.5, tol=1e-14).final
-        for eps in (1e-1, 1e-2, 1e-3):
-            trace = iterate_perturbed(
-                f, PerturbationSchedule.constant(eps, direction=[1.0]), 0.5, tol=1e-14
-            )
-            err = float(abs(trace.final - x_star)[0])
-            bound = bound_direct(eps, lip.L)
-            res.require(err <= bound + 1e-10,
-                        f"direct bound: gamma={gamma} eps={eps:.0e}: {err:.3e} <= {bound:.3e}")
+    for row in _rows("scalar-direct", gammas=[0.3, 1.145, 1.2], eps_values=[1e-1, 1e-2, 1e-3]):
+        err, bound = row["error"], row["bound"]
+        res.require(err <= bound + 1e-10,
+                    f"direct bound: gamma={row['gamma']} eps={row['eps']:.0e}: "
+                    f"{err:.3e} <= {bound:.3e}")
 
     # nested bound dominates the measured error (analytic global constants)
-    for L_S in NESTED_LS_VALUES:
-        for L_F in NESTED_LF_VALUES:
-            S, F, _, _ = nested_scalar(NestedScalarSpec.from_lipschitz(L_S, L_F))
-            x_star = iterate_plain(lambda x: S(F(x)), 0.5, tol=1e-14).final
-            trace = iterate_nested(
-                S, F,
-                PerturbationSchedule.constant(1e-1, direction=[1.0]),
-                PerturbationSchedule.constant(1e-1, direction=[1.0]),
-                0.5, tol=1e-14,
-            )
-            err = float(abs(trace.final - x_star)[0])
-            bound = bound_nested(1e-1, 1e-1, L_S, L_F)
-            res.require(err <= bound + 1e-10,
-                        f"nested bound: LS={L_S} LF={L_F}: {err:.3e} <= {bound:.3e}")
+    for row in _scalar_nested_rows([1e-1]):
+        err, bound = row["error"], row["global_estimate"]
+        res.require(err <= bound + 1e-10,
+                    f"nested bound: LS={row['L_S']} LF={row['L_F']}: {err:.3e} <= {bound:.3e}")
 
     # GMRES residual monotonicity on seeded unsymmetric systems
     rng = np.random.default_rng(7)
@@ -459,15 +376,15 @@ def check_a11(runs: AcceptanceRuns) -> CheckResult:
     res.require(sound, "converged reports satisfy their criterion (10x drift guard)")
 
     # monolithic equivalence at a tight absolute criterion
-    for dx in (0.1, 0.05):
-        out = runs.dn(dx, "abs", 1e-13, tol=1e-12)
+    rows = _rows("transmission-error", criterion="abs", taus=[1e-13], dxs=[0.1, 0.05], tol=1e-12)
+    for row in rows:
         res.require(
-            out["interface_error"] <= 1e-9,
-            f"monolithic equivalence dx={dx}: {out['interface_error']:.2e} <= 1e-9",
+            row["interface_error"] <= 1e-9,
+            f"monolithic equivalence dx={row['dx']}: {row['interface_error']:.2e} <= 1e-9",
         )
 
     # second-order convergence of the monolithic discretization
-    errs = [runs.system(dx).discretization_max_error() for dx in (0.1, 0.05, 0.025)]
+    errs = [transmission_assemble(dx).discretization_max_error() for dx in (0.1, 0.05, 0.025)]
     for i in range(2):
         factor = errs[i] / errs[i + 1]
         res.require(3.5 <= factor <= 4.5, f"halving dx cuts max error by {factor:.2f}")
@@ -505,13 +422,12 @@ ALL_CHECKS = {
 }
 
 
-def run_acceptance(ids=None, runs: AcceptanceRuns | None = None, verbose: bool = False):
+def run_acceptance(ids=None):
     """Execute acceptance criteria; returns (results, all_passed)."""
-    runs = runs or AcceptanceRuns()
     selected = list(ALL_CHECKS) if not ids else list(ids)
     results = []
     for cid in selected:
         if cid not in ALL_CHECKS:
             raise ValueError(f"unknown acceptance criterion {cid!r}")
-        results.append(ALL_CHECKS[cid](runs))
+        results.append(ALL_CHECKS[cid]())
     return results, all(r.passed for r in results)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .acceptance import ALL_CHECKS, run_acceptance
 from .experiments import (
@@ -40,43 +41,69 @@ def _parse_list(text: str) -> list[float]:
     return [_parse_number(t) for t in text.split(",") if t.strip()]
 
 
-_LIST_KEYS = {
-    "tau": "taus",
-    "dx": "dxs",
-    "gammas": "gammas",
-    "alphas": "alphas",
-    "betas": "betas",
-    "eps": "eps_values",
-    "ls": "ls_values",
-    "lf": "lf_values",
-    "outer-tols": "outer_tols",
-}
-_SCALAR_KEYS = {"tol": ("tol", float), "adaptive-c": ("adaptive_c", float),
-                "max-outer": ("max_outer", int)}
-_STR_KEYS = {"experiment": "experiment", "criterion": "criterion",
-             "inner-guess": "inner_guess", "format": "out_format",
-             "out": "out_path", "export-fields": "export_fields"}
+class _Key(NamedTuple):
+    """One experiment setting: its flag (also its config file key), the
+    ExperimentConfig field it fills and how its text is parsed."""
+
+    flag: str
+    field: str
+    parse: Callable[[str], object]
+    help: str
+    choices: tuple | None = None
+    metavar: str | None = None
+
+
+_KEYS = (
+    _Key("experiment", "experiment", str, "experiment to run", EXPERIMENT_IDS),
+    _Key("criterion", "criterion", str, "inner termination criterion", CRITERION_LABELS),
+    _Key("tau", "taus", _parse_list, "comma-separated inner tolerances"),
+    _Key("dx", "dxs", _parse_list, "comma-separated mesh widths (0.1 or 1/10)"),
+    _Key("tol", "tol", _parse_number, "outer tolerance"),
+    _Key("outer-tols", "outer_tols", _parse_list,
+         "outer tolerance sweep (efficiency protocol)"),
+    _Key("gammas", "gammas", _parse_list, "scalar problem gamma values"),
+    _Key("alphas", "alphas", _parse_list, "2x2 problem alpha values"),
+    _Key("betas", "betas", _parse_list, "2x2 problem beta values"),
+    _Key("eps", "eps_values", _parse_list, "perturbation sizes"),
+    _Key("ls", "ls_values", _parse_list, "outer Lipschitz constants (nested scalar)"),
+    _Key("lf", "lf_values", _parse_list, "inner Lipschitz constants (nested scalar)"),
+    _Key("adaptive-c", "adaptive_c", _parse_number, "adaptive schedule prefactor"),
+    _Key("inner-guess", "inner_guess", str,
+         "initial guess policy for the inner solves", ("previous", "zero")),
+    _Key("max-outer", "max_outer", int, "outer iteration cap"),
+    _Key("format", "out_format", str, "output format", ("csv", "md")),
+    _Key("out", "out_path", str, "output path (default: stdout)"),
+    _Key("export-fields", "export_fields", str,
+         "also write exact/discrete field CSV grids (transmission)", metavar="PREFIX"),
+)
+_KEYS_BY_FLAG = {key.flag: key for key in _KEYS}
+
+
+def _parse_value(key: _Key, text: str, where: str):
+    try:
+        return key.parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{where}: invalid value {text!r}") from None
 
 
 def read_config_file(path: str) -> dict:
     """Parse a plain key=value file; keys are the long flag names."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from None
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in _LIST_KEYS:
-            values[_LIST_KEYS[key]] = _parse_list(value)
-        elif key in _SCALAR_KEYS:
-            field, cast = _SCALAR_KEYS[key]
-            values[field] = cast(value)
-        elif key in _STR_KEYS:
-            values[_STR_KEYS[key]] = value
-        else:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        name, value = (part.strip() for part in line.split("=", 1))
+        if name not in _KEYS_BY_FLAG:
+            raise UsageError(f"{path}:{lineno}: unknown key {name!r}")
+        key = _KEYS_BY_FLAG[name]
+        values[key.field] = _parse_value(key, value, f"{path}:{lineno}: {name}")
     return values
 
 
@@ -87,27 +114,9 @@ def build_parser() -> _Parser:
         "acceptance suite.",
     )
     p.add_argument("--config", help="key=value configuration file; flags override it")
-    p.add_argument("--experiment", choices=EXPERIMENT_IDS, help="experiment to run")
-    p.add_argument("--criterion", choices=CRITERION_LABELS,
-                   help="inner termination criterion")
-    p.add_argument("--tau", help="comma-separated inner tolerances")
-    p.add_argument("--dx", help="comma-separated mesh widths (0.1 or 1/10)")
-    p.add_argument("--tol", type=float, help="outer tolerance")
-    p.add_argument("--outer-tols", help="outer tolerance sweep (efficiency protocol)")
-    p.add_argument("--gammas", help="scalar problem gamma values")
-    p.add_argument("--alphas", help="2x2 problem alpha values")
-    p.add_argument("--betas", help="2x2 problem beta values")
-    p.add_argument("--eps", help="perturbation sizes")
-    p.add_argument("--ls", help="outer Lipschitz constants (nested scalar)")
-    p.add_argument("--lf", help="inner Lipschitz constants (nested scalar)")
-    p.add_argument("--adaptive-c", type=float, help="adaptive schedule prefactor")
-    p.add_argument("--inner-guess", choices=("previous", "zero"),
-                   help="initial guess policy for the inner solves")
-    p.add_argument("--max-outer", type=int, help="outer iteration cap")
-    p.add_argument("--format", choices=("csv", "md"), help="output format")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--export-fields", metavar="PREFIX",
-                   help="also write exact/discrete field CSV grids (transmission)")
+    for key in _KEYS:
+        p.add_argument(f"--{key.flag}", choices=key.choices, metavar=key.metavar,
+                       help=key.help)
     p.add_argument("--run-acceptance", action="store_true",
                    help="run the acceptance suite instead of an experiment")
     p.add_argument("--criteria", help="comma-separated criterion ids (e.g. A1,A7)")
@@ -117,34 +126,12 @@ def build_parser() -> _Parser:
 
 def _merge_config(args) -> ExperimentConfig:
     values = read_config_file(args.config) if args.config else {}
-    overrides = {
-        "experiment": args.experiment,
-        "criterion": args.criterion,
-        "taus": _parse_list(args.tau) if args.tau else None,
-        "dxs": _parse_list(args.dx) if args.dx else None,
-        "tol": args.tol,
-        "outer_tols": _parse_list(args.outer_tols) if args.outer_tols else None,
-        "gammas": _parse_list(args.gammas) if args.gammas else None,
-        "alphas": _parse_list(args.alphas) if args.alphas else None,
-        "betas": _parse_list(args.betas) if args.betas else None,
-        "eps_values": _parse_list(args.eps) if args.eps else None,
-        "ls_values": _parse_list(args.ls) if args.ls else None,
-        "lf_values": _parse_list(args.lf) if args.lf else None,
-        "adaptive_c": args.adaptive_c,
-        "inner_guess": args.inner_guess,
-        "max_outer": args.max_outer,
-        "out_format": args.format,
-        "out_path": args.out,
-        "export_fields": args.export_fields,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    if "experiment" not in values or values["experiment"] is None:
+    for key in _KEYS:
+        text = getattr(args, key.flag.replace("-", "_"))
+        if text is not None:
+            values[key.field] = _parse_value(key, text, f"--{key.flag}")
+    if values.get("experiment") is None:
         raise UsageError("an experiment id is required (--experiment or config file)")
-    defaults = {"adaptive_c": 1e-2, "inner_guess": "previous", "out_format": "csv"}
-    for key, fallback in defaults.items():
-        values.setdefault(key, fallback)
-        if values[key] is None:
-            values[key] = fallback
     return ExperimentConfig(**values)
 
 

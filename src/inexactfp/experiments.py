@@ -74,6 +74,10 @@ def make_criterion(label: str, tau: float) -> TerminationCriterion:
         raise UsageError(f"unknown criterion {label!r}; expected one of {CRITERION_LABELS}")
 
 
+_POSITIVE_LISTS = ("gammas", "taus", "dxs", "outer_tols")
+_NONNEGATIVE_LISTS = ("eps_values", "alphas", "betas", "ls_values", "lf_values")
+
+
 @dataclass
 class ExperimentConfig:
     """Grid and output settings for one experiment run. Unset fields fall
@@ -111,11 +115,15 @@ class ExperimentConfig:
             raise UsageError(f"inner_guess must be 'previous' or 'zero', got {self.inner_guess!r}")
         if self.out_format not in ("csv", "md"):
             raise UsageError(f"format must be 'csv' or 'md', got {self.out_format!r}")
-        for name in ("gammas", "taus", "dxs", "outer_tols"):
+        for name in ("tol", "adaptive_c", *_POSITIVE_LISTS, *_NONNEGATIVE_LISTS):
+            value = getattr(self, name)
+            if value is not None and not all(map(math.isfinite, np.atleast_1d(value))):
+                raise UsageError(f"{name} must be finite, got {value}")
+        for name in _POSITIVE_LISTS:
             values = getattr(self, name)
             if values is not None and any(v <= 0 for v in values):
                 raise UsageError(f"{name} must be positive, got {values}")
-        for name in ("eps_values", "alphas", "betas", "ls_values", "lf_values"):
+        for name in _NONNEGATIVE_LISTS:
             values = getattr(self, name)  # zero is meaningful: no perturbation
             if values is not None and any(v < 0 for v in values):
                 raise UsageError(f"{name} must be nonnegative, got {values}")
@@ -426,8 +434,13 @@ def _transmission_runs(cfg, criteria_taus, dxs, tol, systems=None):
             }
 
 
-def _run_transmission_error(cfg: ExperimentConfig) -> TableReport:
-    label = cfg.criterion or "abs"
+_TRANSMISSION_DEFAULT_CRITERION = {"transmission-error": "abs", "transmission-iters": "rel"}
+
+
+def _run_transmission_sweep(cfg: ExperimentConfig) -> TableReport:
+    """transmission-error and transmission-iters: the same (tau, dx) sweep,
+    differing only in the default criterion."""
+    label = cfg.criterion or _TRANSMISSION_DEFAULT_CRITERION[cfg.experiment]
     taus = cfg.taus or [1e-1, 1e-2, 1e-3, 1e-4]
     dxs = cfg.dxs or [0.1, 0.05]
     tol = cfg.tol or 1e-14
@@ -436,20 +449,7 @@ def _run_transmission_error(cfg: ExperimentConfig) -> TableReport:
         "interface_error", "full_error", "status", "wall_time",
     ]
     rows = list(_transmission_runs(cfg, [(label, t) for t in taus], dxs, tol))
-    return TableReport("transmission-error", columns, rows)
-
-
-def _run_transmission_iters(cfg: ExperimentConfig) -> TableReport:
-    label = cfg.criterion or "rel"
-    taus = cfg.taus or [1e-1, 1e-2, 1e-3, 1e-4]
-    dxs = cfg.dxs or [0.1, 0.05]
-    tol = cfg.tol or 1e-14
-    columns = [
-        "criterion", "tau", "dx", "outer_iterations", "cg_iterations",
-        "interface_error", "full_error", "status", "wall_time",
-    ]
-    rows = list(_transmission_runs(cfg, [(label, t) for t in taus], dxs, tol))
-    return TableReport("transmission-iters", columns, rows)
+    return TableReport(cfg.experiment, columns, rows)
 
 
 def _run_transmission_efficiency(cfg: ExperimentConfig) -> TableReport:
@@ -479,8 +479,8 @@ _RUNNERS: dict[str, Callable[[ExperimentConfig], TableReport]] = {
     "linear-nested": _run_linear_nested,
     "scalar-nested": _run_scalar_nested,
     "picard": _run_picard,
-    "transmission-error": _run_transmission_error,
-    "transmission-iters": _run_transmission_iters,
+    "transmission-error": _run_transmission_sweep,
+    "transmission-iters": _run_transmission_sweep,
     "transmission-efficiency": _run_transmission_efficiency,
 }
 

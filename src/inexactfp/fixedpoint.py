@@ -82,7 +82,6 @@ class LipschitzData:
 
     L: float
     source: str  # "analytic" | "measured"
-    L_local: float | None = None
 
     @property
     def is_contraction(self) -> bool:

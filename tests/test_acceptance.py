@@ -1,4 +1,4 @@
-"""Acceptance suite: one test per criterion, shared heavy-run cache.
+"""Acceptance suite: one test per criterion.
 
 The rhs-relative blow-up clause at dx = 1/40 is marked as a strict expected
 failure: with a sound SPD conjugate gradient the coupled iteration freezes
@@ -23,6 +23,8 @@ from inexactfp.acceptance import (
     check_a10,
     check_a11,
 )
+from inexactfp.cli import main
+from inexactfp.experiments import ExperimentConfig, run_experiment
 from inexactfp.fixedpoint import Termination
 
 
@@ -34,43 +36,47 @@ def _report(result):
     assert result.passed, f"{result.criterion} failed:\n" + "\n".join(result.details)
 
 
-def test_a1_scalar_direct(acceptance_runs):
-    _report(check_a1(acceptance_runs))
+def test_a1_scalar_direct():
+    _report(check_a1())
 
 
-def test_a2_adaptive_strategy(acceptance_runs):
-    _report(check_a2(acceptance_runs))
+def test_a2_adaptive_strategy():
+    _report(check_a2())
 
 
-def test_a3_nested_bound_values(acceptance_runs):
-    _report(check_a3(acceptance_runs))
+def test_a3_nested_bound_values():
+    _report(check_a3())
 
 
-def test_a4_nested_measured_errors(acceptance_runs):
-    _report(check_a4(acceptance_runs))
+def test_a4_nested_measured_errors():
+    _report(check_a4())
 
 
-def test_a5_nested_scalar_table(acceptance_runs):
-    _report(check_a5(acceptance_runs))
+def test_a5_nested_scalar_table():
+    _report(check_a5())
 
 
-def test_a6_picard_dichotomy(acceptance_runs):
-    _report(check_a6(acceptance_runs))
+def test_a6_picard_dichotomy():
+    _report(check_a6())
 
 
-def test_a7_transmission_exactness(acceptance_runs):
-    _report(check_a7(acceptance_runs))
+def test_a7_transmission_exactness():
+    _report(check_a7())
 
 
-def test_a8_transmission_absolute_plateau(acceptance_runs):
-    _report(check_a8(acceptance_runs))
+def test_a8_transmission_absolute_plateau():
+    _report(check_a8())
 
 
-def test_a9_rhs_relative_sweep(acceptance_runs):
-    for tau, expected in TRANSMISSION_RELB_REFERENCE.items():
-        out = acceptance_runs.dn(0.1, "relb", tau)
-        factor = out["full_error"] / expected
-        print(f"  A9: dx=1/10 tau={tau:.0e}: error {out['full_error']:.3e} "
+def test_a9_rhs_relative_sweep():
+    report = run_experiment(ExperimentConfig(
+        "transmission-error", criterion="relb",
+        taus=list(TRANSMISSION_RELB_REFERENCE), dxs=[0.1],
+    ))
+    for row in report.rows:
+        tau = row["tau"]
+        factor = row["full_error"] / TRANSMISSION_RELB_REFERENCE[tau]
+        print(f"  A9: dx=1/10 tau={tau:.0e}: error {row['full_error']:.3e} "
               f"({factor:.2f}x reference)")
         assert 1 / 5 <= factor <= 5
 
@@ -81,15 +87,35 @@ def test_a9_rhs_relative_sweep(acceptance_runs):
     "sound SPD CG the iteration freezes at a bounded plateau instead "
     "(error ~1e1), so the blow-up clause cannot be reproduced",
 )
-def test_a9_rhs_relative_blowup(acceptance_runs):
-    out = acceptance_runs.dn(0.025, "relb", 1e-1)
-    diverged = out["trace"].terminated_by is Termination.DIVERGED
-    assert diverged or out["full_error"] > 1e2
+def test_a9_rhs_relative_blowup():
+    (row,) = run_experiment(ExperimentConfig(
+        "transmission-error", criterion="relb", taus=[1e-1], dxs=[0.025],
+    )).rows
+    diverged = row["status"] == Termination.DIVERGED.value
+    assert diverged or row["full_error"] > 1e2
 
 
-def test_a10_transmission_efficiency(acceptance_runs):
-    _report(check_a10(acceptance_runs))
+def test_a10_transmission_efficiency():
+    _report(check_a10())
 
 
-def test_a11_property_suite(acceptance_runs):
-    _report(check_a11(acceptance_runs))
+def test_a11_property_suite():
+    _report(check_a11())
+
+
+def test_cli_run_acceptance_selected_criteria(capsys):
+    assert main(["--run-acceptance", "--criteria", "a1,A3"]) == 0
+    assert "acceptance: 2/2 criteria passed" in capsys.readouterr().out
+
+
+def test_cli_run_acceptance_failure_prints_details(capsys):
+    assert main(["--run-acceptance", "--criteria", "A9"]) == 2
+    out = capsys.readouterr().out
+    assert "A9   FAIL" in out
+    assert "FAIL dx=1/40 tau=1e-1: status=" in out
+    assert "acceptance: 0/1 criteria passed" in out
+
+
+def test_cli_run_acceptance_unknown_criterion(capsys):
+    assert main(["--run-acceptance", "--criteria", "A99"]) == 1
+    assert "error:" in capsys.readouterr().err

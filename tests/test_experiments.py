@@ -153,6 +153,22 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert "1.000e-03" in lines[1]
 
 
+@pytest.mark.parametrize("argv, config_text", [
+    (["--experiment", "scalar-direct", "--eps", "abc"], None),
+    (["--experiment", "transmission-error", "--dx", "1/0"], None),
+    (["--experiment", "scalar-direct", "--config", "{cfg}"], "tol=oops\n"),
+    (["--experiment", "scalar-direct", "--config", "{cfg}"], None),
+    (["--experiment", "scalar-direct", "--tol", "nan"], None),
+    (["--experiment", "transmission-error", "--dx", "nan"], None),
+], ids=["eps-abc", "dx-1/0", "config-tol-oops", "config-missing", "tol-nan", "dx-nan"])
+def test_cli_malformed_number_is_usage_error(argv, config_text, tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"  # written only when the case has a file
+    if config_text is not None:
+        cfg_file.write_text(config_text)
+    assert main([arg.format(cfg=cfg_file) for arg in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_config_file_rejects_unknown_key(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("experiment=picard\nwhatever=1\n")
