@@ -8,15 +8,11 @@ coupling of a transmission problem as the worked applications.
 
 from .fixedpoint import (
     FixedPointTrace,
-    LipschitzData,
     NotAContractionError,
     PerturbationSchedule,
-    StagnatedTraceError,
     Termination,
     bound_direct,
     bound_nested,
-    derived_schedule_from_LS,
-    estimate_lipschitz,
     iterate_nested,
     iterate_perturbed,
     iterate_plain,
@@ -27,7 +23,6 @@ from .krylov import (
     TerminationCriterion,
     absolute,
     cg_solve,
-    evaluate_criterion,
     gmres_solve,
     relative_to_initial,
     relative_to_rhs,
@@ -45,21 +40,16 @@ __all__ = [
     "CriterionKind",
     "DimensionMismatchError",
     "FixedPointTrace",
-    "LipschitzData",
     "NotAContractionError",
     "PerturbationSchedule",
     "SingularMatrixError",
     "SolveReport",
-    "StagnatedTraceError",
     "Termination",
     "TerminationCriterion",
     "absolute",
     "bound_direct",
     "bound_nested",
     "cg_solve",
-    "derived_schedule_from_LS",
-    "estimate_lipschitz",
-    "evaluate_criterion",
     "gmres_solve",
     "iterate_nested",
     "iterate_perturbed",

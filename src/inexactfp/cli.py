@@ -166,8 +166,6 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(payload.decode("utf-8"))
         if cfg.export_fields:
-            if not cfg.experiment.startswith("transmission"):
-                raise UsageError("--export-fields applies to transmission experiments")
             dx = min(cfg.dxs or [0.05])
             for path in export_field_csvs(dx, cfg.export_fields):
                 print(f"wrote {path}", file=sys.stderr)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .fixedpoint import (
+    DEFAULT_MAX_ITER,
     PerturbationSchedule,
     Termination,
     bound_direct,
@@ -115,20 +116,28 @@ class ExperimentConfig:
             raise UsageError(f"inner_guess must be 'previous' or 'zero', got {self.inner_guess!r}")
         if self.out_format not in ("csv", "md"):
             raise UsageError(f"format must be 'csv' or 'md', got {self.out_format!r}")
-        for name in ("tol", "adaptive_c", *_POSITIVE_LISTS, *_NONNEGATIVE_LISTS):
+        for name in ("tol", "adaptive_c"):
             value = getattr(self, name)
-            if value is not None and not all(map(math.isfinite, np.atleast_1d(value))):
+            if value is not None and not math.isfinite(value):
                 raise UsageError(f"{name} must be finite, got {value}")
-        for name in _POSITIVE_LISTS:
+        for name in (*_POSITIVE_LISTS, *_NONNEGATIVE_LISTS):
             values = getattr(self, name)
-            if values is not None and any(v <= 0 for v in values):
+            if values is None:
+                continue
+            if len(values) == 0:
+                raise UsageError(f"{name} must not be empty")
+            if not all(map(math.isfinite, values)):
+                raise UsageError(f"{name} must be finite, got {values}")
+            if name in _POSITIVE_LISTS and any(v <= 0 for v in values):
                 raise UsageError(f"{name} must be positive, got {values}")
-        for name in _NONNEGATIVE_LISTS:
-            values = getattr(self, name)  # zero is meaningful: no perturbation
-            if values is not None and any(v < 0 for v in values):
+            if any(v < 0 for v in values):  # zero is meaningful: no perturbation
                 raise UsageError(f"{name} must be nonnegative, got {values}")
         if self.tol is not None and self.tol <= 0:
             raise UsageError(f"tol must be positive, got {self.tol}")
+        if self.max_outer is not None and self.max_outer < 1:
+            raise UsageError(f"max_outer must be at least 1, got {self.max_outer}")
+        if self.export_fields and not self.experiment.startswith("transmission"):
+            raise UsageError("--export-fields applies to transmission experiments")
 
 
 @dataclass
@@ -236,26 +245,31 @@ def _markdown_blocks(report, outer, row_key, col_key, line_fields):
 # individual experiments
 # --------------------------------------------------------------------------
 
+def _given(value, default):  # a config field, or the experiment's default if unset
+    return default if value is None else value
+
+
 def _run_scalar_direct(cfg: ExperimentConfig) -> TableReport:
-    gammas = cfg.gammas or [0.3, 1.145, 1.2]
-    eps_values = cfg.eps_values or [1e-1, 1e-2, 1e-3]
-    tol = cfg.tol or 1e-14
+    gammas = _given(cfg.gammas, [0.3, 1.145, 1.2])
+    eps_values = _given(cfg.eps_values, [1e-1, 1e-2, 1e-3])
+    tol = _given(cfg.tol, 1e-14)
+    max_iter = _given(cfg.max_outer, DEFAULT_MAX_ITER)
     columns = ["gamma", "L", "eps", "error", "bound", "outer_iterations", "wall_time"]
     rows = []
     for gamma in gammas:
-        f, lip = scalar_map(ScalarMapSpec(gamma))
+        f, L = scalar_map(ScalarMapSpec(gamma))
         x_star = iterate_plain(f, 0.5, tol=tol).final
         for eps in eps_values:
             t0 = time.perf_counter()
             schedule = PerturbationSchedule.constant(eps, direction=[1.0])
-            trace = iterate_perturbed(f, schedule, 0.5, tol=tol)
+            trace = iterate_perturbed(f, schedule, 0.5, tol=tol, max_iter=max_iter)
             err = float(abs(trace.final - x_star)[0])
             rows.append({
                 "gamma": gamma,
-                "L": lip.L,
+                "L": L,
                 "eps": eps,
                 "error": err,
-                "bound": bound_direct(eps, lip.L),
+                "bound": bound_direct(eps, L),
                 "outer_iterations": trace.steps,
                 "wall_time": time.perf_counter() - t0,
             })
@@ -263,21 +277,22 @@ def _run_scalar_direct(cfg: ExperimentConfig) -> TableReport:
 
 
 def _run_scalar_adaptive(cfg: ExperimentConfig) -> TableReport:
-    gammas = cfg.gammas or [0.3, 1.145, 1.2]
-    pairs = list(zip(cfg.ls_values or [0.9], cfg.lf_values or [0.99]))
-    tol = cfg.tol or 1e-15
+    gammas = _given(cfg.gammas, [0.3, 1.145, 1.2])
+    pairs = list(zip(_given(cfg.ls_values, [0.9]), _given(cfg.lf_values, [0.99])))
+    tol = _given(cfg.tol, 1e-15)
+    max_iter = _given(cfg.max_outer, DEFAULT_MAX_ITER)
     c = cfg.adaptive_c
     columns = ["problem", "L", "c", "error", "outer_iterations", "wall_time"]
     rows = []
     for gamma in gammas:
-        f, lip = scalar_map(ScalarMapSpec(gamma))
+        f, L = scalar_map(ScalarMapSpec(gamma))
         x_star = iterate_plain(f, 0.5, tol=tol).final
         t0 = time.perf_counter()
-        schedule = PerturbationSchedule.adaptive(c, lip.L, direction=[1.0])
-        trace = iterate_perturbed(f, schedule, 0.5, tol=tol)
+        schedule = PerturbationSchedule.adaptive(c, L, direction=[1.0])
+        trace = iterate_perturbed(f, schedule, 0.5, tol=tol, max_iter=max_iter)
         rows.append({
             "problem": f"scalar gamma={gamma}",
-            "L": lip.L,
+            "L": L,
             "c": c,
             "error": float(abs(trace.final - x_star)[0]),
             "outer_iterations": trace.steps,
@@ -288,7 +303,7 @@ def _run_scalar_adaptive(cfg: ExperimentConfig) -> TableReport:
         x_star = iterate_plain(lambda x: S(F(x)), 0.5, tol=tol).final
         t0 = time.perf_counter()
         schedule = PerturbationSchedule.adaptive(c, L_S * L_F, direction=[1.0])
-        trace = iterate_nested(S, F, schedule, schedule, 0.5, tol=tol)
+        trace = iterate_nested(S, F, schedule, schedule, 0.5, tol=tol, max_iter=max_iter)
         rows.append({
             "problem": f"nested LS={L_S} LF={L_F}",
             "L": L_S * L_F,
@@ -301,10 +316,11 @@ def _run_scalar_adaptive(cfg: ExperimentConfig) -> TableReport:
 
 
 def _run_linear_nested(cfg: ExperimentConfig) -> TableReport:
-    alphas = cfg.alphas or [0.1, 0.9, 0.99]
-    betas = cfg.betas or [0.1, 0.9, 0.99]
-    eps_values = cfg.eps_values or [1e-1, 1e-2, 1e-3]
-    tol = cfg.tol or 1e-14
+    alphas = _given(cfg.alphas, [0.1, 0.9, 0.99])
+    betas = _given(cfg.betas, [0.1, 0.9, 0.99])
+    eps_values = _given(cfg.eps_values, [1e-1, 1e-2, 1e-3])
+    tol = _given(cfg.tol, 1e-14)
+    max_iter = _given(cfg.max_outer, DEFAULT_MAX_ITER)
     columns = ["eps", "alpha", "beta", "bound", "error", "outer_iterations", "wall_time"]
     rows = []
     for eps in eps_values:
@@ -314,7 +330,7 @@ def _run_linear_nested(cfg: ExperimentConfig) -> TableReport:
                 t0 = time.perf_counter()
                 schedule = PerturbationSchedule.constant(eps)  # all-ones direction
                 trace = iterate_nested(
-                    problem.S, problem.F, schedule, schedule, np.zeros(2), tol=tol
+                    problem.S, problem.F, schedule, schedule, np.zeros(2), tol, max_iter
                 )
                 err = norm2(trace.final - problem.x_star)
                 rows.append({
@@ -330,10 +346,11 @@ def _run_linear_nested(cfg: ExperimentConfig) -> TableReport:
 
 
 def _run_scalar_nested(cfg: ExperimentConfig) -> TableReport:
-    ls_values = cfg.ls_values or [0.1, 0.9, 0.99]
-    lf_values = cfg.lf_values or [0.01, 0.1, 0.9, 0.99]
-    eps_values = cfg.eps_values or [1e-1, 1e-2, 1e-3]
-    tol = cfg.tol or 1e-14
+    ls_values = _given(cfg.ls_values, [0.1, 0.9, 0.99])
+    lf_values = _given(cfg.lf_values, [0.01, 0.1, 0.9, 0.99])
+    eps_values = _given(cfg.eps_values, [1e-1, 1e-2, 1e-3])
+    tol = _given(cfg.tol, 1e-14)
+    max_iter = _given(cfg.max_outer, DEFAULT_MAX_ITER)
     columns = [
         "eps", "L_S", "L_F", "global_estimate", "local_estimate", "error",
         "outer_iterations", "wall_time",
@@ -348,7 +365,7 @@ def _run_scalar_nested(cfg: ExperimentConfig) -> TableReport:
                 dS, dF = nested_local_derivatives(spec, x_star)
                 t0 = time.perf_counter()
                 schedule = PerturbationSchedule.constant(eps, direction=[1.0])
-                trace = iterate_nested(S, F, schedule, schedule, 0.5, tol=tol)
+                trace = iterate_nested(S, F, schedule, schedule, 0.5, tol, max_iter)
                 rows.append({
                     "eps": eps,
                     "L_S": L_S,
@@ -371,8 +388,8 @@ _PICARD_DEFAULT_TAUS = {
 
 def _run_picard(cfg: ExperimentConfig) -> TableReport:
     spec = PicardProblemSpec(n=64, viscosity=1e-2)
-    tol = cfg.tol or 1e-12
-    criteria = [cfg.criterion] if cfg.criterion else ["rel", "abs"]
+    tol = _given(cfg.tol, 1e-12)
+    criteria = ["rel", "abs"] if cfg.criterion is None else [cfg.criterion]
     columns = [
         "criterion", "tau", "outer_iterations", "gmres_iterations", "residual",
         "error", "exit", "wall_time",
@@ -380,12 +397,12 @@ def _run_picard(cfg: ExperimentConfig) -> TableReport:
     rows = []
     exact = spec.exact_solution()
     for label in criteria:
-        taus = cfg.taus or _PICARD_DEFAULT_TAUS[label]
+        taus = _given(cfg.taus, _PICARD_DEFAULT_TAUS[label])
         for tau in taus:
             t0 = time.perf_counter()
             trace = picard_iterate(
                 spec, make_criterion(label, tau), tol=tol,
-                max_iter=cfg.max_outer or 500,
+                max_iter=_given(cfg.max_outer, 500),
             )
             rows.append({
                 "criterion": label,
@@ -417,7 +434,7 @@ def _transmission_runs(cfg, criteria_taus, dxs, tol, systems=None):
             t0 = time.perf_counter()
             trace = dn_iterate(
                 sys_, make_criterion(label, tau), tol=tol,
-                max_iter=cfg.max_outer or 100_000,
+                max_iter=_given(cfg.max_outer, DEFAULT_MAX_ITER),
                 inner_guess=cfg.inner_guess,
             )
             err_gamma, err_full = solution_errors(sys_, trace.state)
@@ -440,10 +457,10 @@ _TRANSMISSION_DEFAULT_CRITERION = {"transmission-error": "abs", "transmission-it
 def _run_transmission_sweep(cfg: ExperimentConfig) -> TableReport:
     """transmission-error and transmission-iters: the same (tau, dx) sweep,
     differing only in the default criterion."""
-    label = cfg.criterion or _TRANSMISSION_DEFAULT_CRITERION[cfg.experiment]
-    taus = cfg.taus or [1e-1, 1e-2, 1e-3, 1e-4]
-    dxs = cfg.dxs or [0.1, 0.05]
-    tol = cfg.tol or 1e-14
+    label = _given(cfg.criterion, _TRANSMISSION_DEFAULT_CRITERION[cfg.experiment])
+    taus = _given(cfg.taus, [1e-1, 1e-2, 1e-3, 1e-4])
+    dxs = _given(cfg.dxs, [0.1, 0.05])
+    tol = _given(cfg.tol, 1e-14)
     columns = [
         "criterion", "tau", "dx", "outer_iterations", "cg_iterations",
         "interface_error", "full_error", "status", "wall_time",
@@ -456,8 +473,8 @@ def _run_transmission_efficiency(cfg: ExperimentConfig) -> TableReport:
     """Tolerance-sweep protocol: the initial-residual-relative scheme keeps
     tau_r = 1e-1 whatever the outer tolerance; the rhs-relative and absolute
     schemes must tighten their inner tolerance to the outer one."""
-    outer_tols = cfg.outer_tols or [1e-1, 1e-2, 1e-3, 1e-4]
-    dx = (cfg.dxs or [0.05])[0]
+    outer_tols = _given(cfg.outer_tols, [1e-1, 1e-2, 1e-3, 1e-4])
+    dx = _given(cfg.dxs, [0.05])[0]
     columns = [
         "outer_tol", "criterion", "tau", "outer_iterations", "cg_iterations",
         "interface_error", "full_error", "status", "wall_time",

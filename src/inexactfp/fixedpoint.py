@@ -7,17 +7,19 @@ iteration recovers x* itself iff eps_k -> 0. The nested variant
 x^{k+1} = S(F(x^k) + eps_k) + delta_k obeys
 ||x_eps - x*|| <= (eps L_S + delta) / (1 - L_S L_F).
 
-Scalar problems ride along as length-1 vectors so a single driver serves
-every experiment. Maps may optionally return (value, SolveReport) pairs;
-that is how iterations whose function evaluation is itself an inner solve
-feed their solve metadata into the trace.
+Scalar problems ride along as length-1 vectors so one outer loop, ``_drive``,
+serves every driver: the three here, Picard and Dirichlet-Neumann, each
+supplying a step and, where it does not test the increment, an exit test.
+Maps may optionally return (value, SolveReport) pairs; that is how
+iterations whose function evaluation is itself an inner solve feed their
+solve metadata into the trace.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,10 +51,11 @@ class FixedPointTrace:
     ``increments[k] = ||iterates[k+1] - iterates[k]||_2``, so there is one
     increment fewer than iterates. ``inner_reports`` holds, per outer step,
     the solve reports of that step (empty for maps evaluated exactly).
-    ``residuals`` is populated only by drivers whose outer exit tests a
-    residual rather than the increment. ``state`` holds a driver's final
-    state beyond the iterate, when it has one (the subdomain solutions of a
-    Dirichlet-Neumann run).
+    ``residuals`` holds the per-step nonlinear residual norms of a Picard
+    run, whose outer exit tests them instead of the increment (``None`` for
+    other drivers). ``state`` holds a driver's final state beyond the
+    iterate, when it has one (the subdomain solutions of a Dirichlet-Neumann
+    run).
     """
 
     iterates: list[np.ndarray]
@@ -74,18 +77,6 @@ class FixedPointTrace:
     @property
     def total_inner_iterations(self) -> int:
         return sum(r.iterations for step in self.inner_reports for r in step)
-
-
-@dataclass(frozen=True)
-class LipschitzData:
-    """A Lipschitz constant together with how it was obtained."""
-
-    L: float
-    source: str  # "analytic" | "measured"
-
-    @property
-    def is_contraction(self) -> bool:
-        return self.L < 1.0
 
 
 class ScheduleKind(enum.Enum):
@@ -149,24 +140,6 @@ class PerturbationSchedule:
             )
         return m * self.direction
 
-    def scaled(self, factor: float) -> "PerturbationSchedule":
-        return PerturbationSchedule(
-            self.kind, self.magnitude0 * factor, self.decay, self.direction
-        )
-
-
-def derived_schedule_from_LS(
-    delta_schedule: PerturbationSchedule, L_S: float
-) -> PerturbationSchedule:
-    """Schedule for the inner perturbation: eps_k = delta_k / L_S.
-
-    The inner function's perturbation is damped by the outer Lipschitz
-    constant, so the inner solves may be looser by exactly that factor.
-    """
-    if not L_S > 0:
-        raise ValueError(f"L_S must be positive, got {L_S}")
-    return delta_schedule.scaled(1.0 / L_S)
-
 
 def bound_direct(eps: float, L: float) -> float:
     """Error bound eps / (1 - L) for a constant perturbation of size eps."""
@@ -201,10 +174,17 @@ def _call(f, x):
     return _as_state(out), []
 
 
-def _drive(step, x0, tol: float, max_iter: int) -> FixedPointTrace:
-    """Common outer loop: step(x, k) -> (next iterate, reports)."""
+def _drive(step, x0, tol: float, max_iter: int, exit_test=None) -> FixedPointTrace:
+    """The outer loop of every driver: step(x, k) -> (next iterate, reports).
+
+    Each step exits on divergence, then on inner stagnation, then when
+    ``exit_test(y, inc)`` returns a Termination; the default tests inc <= tol.
+    """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if exit_test is None:
+        def exit_test(y, inc):
+            return Termination.INCREMENT_BELOW_TOL if inc <= tol else None
     x = _as_state(x0)
     iterates = [x]
     increments: list[float] = []
@@ -223,8 +203,9 @@ def _drive(step, x0, tol: float, max_iter: int) -> FixedPointTrace:
         if reports and inc == 0.0 and all(r.iterations == 0 for r in reports):
             terminated = Termination.INNER_STAGNATION
             break
-        if inc <= tol:
-            terminated = Termination.INCREMENT_BELOW_TOL
+        verdict = exit_test(y, inc)
+        if verdict is not None:
+            terminated = verdict
             break
     return FixedPointTrace(iterates, increments, inner_reports, terminated, tol)
 
@@ -283,28 +264,3 @@ def iterate_nested(
         return outer, rep_f + rep_s
 
     return _drive(step, x0, tol, max_iter)
-
-
-class StagnatedTraceError(RuntimeError):
-    """Lipschitz measurement hit a zero increment: ratios are undefined."""
-
-
-def estimate_lipschitz(trace: FixedPointTrace, window: int = 5) -> LipschitzData:
-    """Measure the contraction rate from the tail of a trace.
-
-    Returns the geometric mean of the last ``min(window, available)``
-    increment ratios ||dx^{k+1}|| / ||dx^k||. Needs at least 4 increments;
-    a few iterations are enough for a usable estimate but the very last
-    increments of a machine-converged run may be rounding noise, so pass a
-    trace stopped at a moderate tolerance.
-    """
-    incs = trace.increments
-    if len(incs) < 4:
-        raise ValueError(f"need at least 4 increments, trace has {len(incs)}")
-    n_ratios = min(window, len(incs) - 1)
-    tail = incs[-(n_ratios + 1):]
-    if any(v == 0.0 for v in tail):
-        raise StagnatedTraceError("stagnated, ratio undefined")
-    ratios = [tail[i + 1] / tail[i] for i in range(n_ratios)]
-    L = float(np.exp(np.mean(np.log(ratios))))
-    return LipschitzData(L=L, source="measured")

@@ -79,16 +79,6 @@ def absolute(tau: float) -> TerminationCriterion:
     return TerminationCriterion(CriterionKind.ABSOLUTE, tau)
 
 
-def evaluate_criterion(
-    criterion: TerminationCriterion,
-    current_residual_norm: float,
-    initial_residual_norm: float,
-    rhs_norm: float,
-) -> bool:
-    """Pure predicate: does the current residual satisfy the criterion?"""
-    return current_residual_norm <= criterion.threshold(initial_residual_norm, rhs_norm)
-
-
 @dataclass
 class SolveReport:
     """Outcome of one inner linear solve.
@@ -234,11 +224,11 @@ def gmres_solve(
     x0: np.ndarray,
     criterion: TerminationCriterion,
     max_iter: int = 10000,
-    restart: int | None = None,
 ) -> SolveReport:
-    """GMRES (reorthogonalized Gram-Schmidt Arnoldi, Givens least squares).
+    """Full GMRES (reorthogonalized Gram-Schmidt Arnoldi, Givens least squares).
 
-    ``restart=None`` runs full GMRES; the per-iteration residual norm comes
+    The Krylov space grows up to n; it is rebuilt only from the true
+    residual after recurrence drift. The per-iteration residual norm comes
     for free from the rotated right-hand side. Happy breakdown (Arnoldi norm
     below 1e-14 of the initial residual) means the Krylov space contains the
     exact solution in exact arithmetic; in float64 the true residual still
@@ -276,7 +266,7 @@ def gmres_solve(
     restart_res = r0_norm
     total_it = 0
     while total_it < max_iter:
-        cycle = min(restart or n, n, max_iter - total_it)
+        cycle = min(n, max_iter - total_it)
         beta = norm2(r)
         V = np.zeros((n, cycle + 1))
         H = np.zeros((cycle + 1, cycle))
@@ -328,7 +318,7 @@ def gmres_solve(
         true_res = norm2(r)
         # happy breakdown or full GMRES at n steps: the Krylov space is
         # exhausted, so a restart has nothing more to gain
-        exhausted = happy or (restart is None and j_used == n)
+        exhausted = happy or j_used == n
         if satisfied:
             verdict = _drift_exit(true_res, threshold, 0.0 if exhausted else restart_res)
             if verdict is not None:

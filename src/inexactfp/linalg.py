@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 
 class DimensionMismatchError(ValueError):
@@ -17,7 +18,7 @@ class DimensionMismatchError(ValueError):
 
 
 class SingularMatrixError(RuntimeError):
-    """Elimination met a pivot that is zero to working precision."""
+    """Factorization met a pivot that is zero to working precision."""
 
     def __init__(self, pivot_index: int, message: str | None = None):
         self.pivot_index = pivot_index
@@ -30,7 +31,7 @@ def norm2(x: np.ndarray) -> float:
 
 
 def solve_direct(M, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b by pivoted elimination (dense) or sparse LU.
+    """Solve M x = b by LAPACK LU with partial pivoting (dense) or sparse LU.
 
     Intended for reference solutions: fixed points of linear maps and the
     monolithic discretizations the coupled iterations are checked against.
@@ -50,27 +51,18 @@ def solve_direct(M, b: np.ndarray) -> np.ndarray:
         )
     if sp.issparse(M):
         return _solve_sparse(M, b)
-    return _solve_dense(np.array(M, dtype=float), b.copy())
+    return _solve_dense(np.asarray(M, dtype=float), b)
 
 
-def _solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    if n == 0:
-        return b
-    tol = 1e-13 * max(np.abs(A).sum(axis=1).max(), 1e-300)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[p, k]) <= tol:
-            raise SingularMatrixError(k)
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        mult = A[k + 1:, k] / A[k, k]
-        A[k + 1:, k + 1:] -= np.outer(mult, A[k, k + 1:])
-        b[k + 1:] -= mult * b[k]
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - A[k, k + 1:] @ x[k + 1:]) / A[k, k]
+def _solve_dense(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if M.shape[0] == 0:
+        return b.copy()
+    lu, piv, _ = lapack.dgetrf(M)
+    tol = 1e-13 * max(np.abs(M).sum(axis=1).max(), 1e-300)
+    small = np.flatnonzero(np.abs(np.diag(lu)) <= tol)
+    if small.size:
+        raise SingularMatrixError(int(small[0]))
+    x, _ = lapack.dgetrs(lu, piv, b)
     return x
 
 

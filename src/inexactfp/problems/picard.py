@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ..fixedpoint import FixedPointTrace, Termination
+from ..fixedpoint import FixedPointTrace, Termination, _drive
 from ..krylov import TerminationCriterion, gmres_solve
 from ..linalg import norm2
 
@@ -84,47 +84,30 @@ def picard_iterate(
     tol: float,
     max_iter: int = 500,
     x0: np.ndarray | None = None,
-    inner_max_iter: int | None = None,
 ) -> FixedPointTrace:
     """Run the Picard iteration A(x^k) x^{k+1} = b with inexact GMRES solves.
 
-    The outer exit tests the nonlinear residual ||A(x) x - b|| <= tol
-    (recorded per step in ``trace.residuals``); a zero-iteration inner solve
-    with zero increment means the iteration cannot move and exits as
-    stagnation.
+    Each step assembles A(x^{k+1}) once, for the nonlinear residual
+    ||A(x) x - b|| (recorded per step in ``trace.residuals``) and the next
+    solve. The outer exit tests that residual <= tol, not the increment.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     b = picard_forcing(spec)
-    x = np.zeros(spec.n) if x0 is None else np.asarray(x0, dtype=float)
-    inner_cap = inner_max_iter if inner_max_iter is not None else max(2 * spec.n, 50)
-
-    iterates = [x]
-    increments: list[float] = []
-    reports: list[list] = []
+    x0 = np.zeros(spec.n) if x0 is None else np.asarray(x0, dtype=float)
+    inner_cap = max(2 * spec.n, 50)
+    A, _ = picard_assemble(spec, x0)
     residuals: list[float] = []
-    terminated = Termination.MAX_ITER
-    A, _ = picard_assemble(spec, x)
-    for _ in range(max_iter):
+
+    def step(x, k):
+        nonlocal A
         rep = gmres_solve(A, b, x0=x, criterion=criterion, max_iter=inner_cap)
         y = rep.solution
-        inc = norm2(y - x)
-        A, _ = picard_assemble(spec, y)  # A(y): residual check and next step
-        res = norm2(A @ y - b)
-        iterates.append(y)
-        increments.append(inc)
-        reports.append([rep])
-        residuals.append(res)
-        x = y
-        if not np.all(np.isfinite(y)):
-            terminated = Termination.DIVERGED
-            break
-        if rep.iterations == 0 and inc == 0.0:
-            terminated = Termination.INNER_STAGNATION
-            break
-        if res <= tol:
-            terminated = Termination.RESIDUAL_BELOW_TOL
-            break
-    return FixedPointTrace(
-        iterates, increments, reports, terminated, tol, residuals=residuals
-    )
+        A, _ = picard_assemble(spec, y)
+        residuals.append(norm2(A @ y - b))
+        return y, [rep]
+
+    def exit_test(y, inc):
+        return Termination.RESIDUAL_BELOW_TOL if residuals[-1] <= tol else None
+
+    trace = _drive(step, x0, tol, max_iter, exit_test)
+    trace.residuals = residuals
+    return trace

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fixedpoint import LipschitzData
-
 
 @dataclass(frozen=True)
 class ScalarMapSpec:
@@ -32,13 +30,14 @@ class ScalarMapSpec:
 
 
 def scalar_map(spec: ScalarMapSpec):
-    """The map x -> e^(gamma x)/4 with its analytic Lipschitz data."""
+    """Return (f, L): the map x -> e^(gamma x)/4 and its analytic Lipschitz
+    constant, as ``nested_scalar`` returns its constants."""
     gamma = spec.gamma
 
     def f(x):
         return np.exp(gamma * x) / 4.0
 
-    return f, LipschitzData(L=spec.lipschitz, source="analytic")
+    return f, spec.lipschitz
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from ..fixedpoint import FixedPointTrace, _drive
+from ..fixedpoint import DEFAULT_MAX_ITER, FixedPointTrace, _drive
 from ..krylov import SolveReport, TerminationCriterion, cg_solve
 from ..linalg import norm2, solve_direct
 
@@ -144,9 +144,9 @@ class TransmissionSystem:
 
 
 def _laplacian(rows: int, cols: int) -> sp.csr_matrix:
-    """Unscaled negated five-point Laplacian on a row-major (rows, cols) grid
-    of interior nodes with zero boundary values: 4 on the diagonal, -1 per
-    neighbour, no stored zeros."""
+    """Negated five-point Laplacian without the 1/h^2 factor on a row-major
+    (rows, cols) grid of interior nodes with zero boundary values: 4 on the
+    diagonal, -1 per neighbour, no stored zeros."""
 
     def second_difference(k):
         return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
@@ -240,7 +240,6 @@ def dn_step(
     state: DnState,
     criterion: TerminationCriterion,
     inner_guess: str = "previous",
-    inner_max_iter: int | None = None,
 ) -> tuple[DnState, tuple[SolveReport, SolveReport]]:
     """One Dirichlet-Neumann sweep.
 
@@ -252,7 +251,7 @@ def dn_step(
     """
     if inner_guess not in ("previous", "zero"):
         raise ValueError(f"inner_guess must be 'previous' or 'zero', got {inner_guess!r}")
-    cap = inner_max_iter if inner_max_iter is not None else 4 * sys.n2
+    cap = 4 * sys.n2
     x0_1 = state.u1 if inner_guess == "previous" else np.zeros(sys.n1)
     rep1 = cg_solve(sys.A, sys.b1(state.u_gamma), x0=x0_1, criterion=criterion, max_iter=cap)
 
@@ -272,9 +271,8 @@ def dn_iterate(
     sys: TransmissionSystem,
     criterion: TerminationCriterion,
     tol: float,
-    max_iter: int = 100_000,
+    max_iter: int = DEFAULT_MAX_ITER,
     inner_guess: str = "previous",
-    inner_max_iter: int | None = None,
 ) -> FixedPointTrace:
     """Iterate sweeps from zero interface values until the interface increment
     drops below ``tol``; the trace records both solve reports per sweep."""
@@ -282,7 +280,7 @@ def dn_iterate(
 
     def step(u_gamma, k):
         nonlocal state
-        state, reports = dn_step(sys, state, criterion, inner_guess, inner_max_iter)
+        state, reports = dn_step(sys, state, criterion, inner_guess)
         return state.u_gamma, list(reports)
 
     trace = _drive(step, state.u_gamma, tol, max_iter)

@@ -38,6 +38,17 @@ def test_scalar_direct_report_shape():
     assert report.provenance["experiment"] == "scalar-direct"
 
 
+@pytest.mark.parametrize("experiment, grid", [
+    ("scalar-direct", dict(gammas=[0.3], eps_values=[1e-2])),
+    ("scalar-adaptive", dict(gammas=[0.3], ls_values=[0.9], lf_values=[0.99])),
+    ("linear-nested", dict(alphas=[0.1], betas=[0.1], eps_values=[1e-1])),
+    ("scalar-nested", dict(ls_values=[0.1], lf_values=[0.01], eps_values=[1e-1])),
+], ids=["scalar-direct", "scalar-adaptive", "linear-nested", "scalar-nested"])
+def test_scalar_experiments_honour_max_outer(experiment, grid):
+    report = run_experiment(ExperimentConfig(experiment=experiment, max_outer=2, **grid))
+    assert [row["outer_iterations"] for row in report.rows] == [2] * len(report.rows)
+
+
 def test_emit_empty_grid_header_only():
     report = TableReport("scalar-direct", ["a", "b"], [])
     assert emit(report, "csv") == b"a,b\n"
@@ -160,13 +171,20 @@ def test_cli_config_file_with_flag_override(tmp_path):
     (["--experiment", "scalar-direct", "--config", "{cfg}"], None),
     (["--experiment", "scalar-direct", "--tol", "nan"], None),
     (["--experiment", "transmission-error", "--dx", "nan"], None),
-], ids=["eps-abc", "dx-1/0", "config-tol-oops", "config-missing", "tol-nan", "dx-nan"])
+    (["--experiment", "transmission-error", "--dx", "1/10", "--max-outer", "0"], None),
+    (["--experiment", "transmission-error", "--dx", "1/10", "--max-outer", "-3"], None),
+    (["--experiment", "transmission-error", "--tau", ","], None),
+    (["--experiment", "scalar-direct", "--export-fields", "p"], None),
+], ids=["eps-abc", "dx-1/0", "config-tol-oops", "config-missing", "tol-nan", "dx-nan",
+        "max-outer-0", "max-outer-neg", "tau-empty", "export-fields-scalar"])
 def test_cli_malformed_number_is_usage_error(argv, config_text, tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"  # written only when the case has a file
     if config_text is not None:
         cfg_file.write_text(config_text)
     assert main([arg.format(cfg=cfg_file) for arg in argv]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected before anything runs
+    assert captured.err.startswith("error: ")
 
 
 def test_config_file_rejects_unknown_key(tmp_path):

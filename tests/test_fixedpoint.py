@@ -5,12 +5,9 @@ from numpy.testing import assert_allclose
 from inexactfp.fixedpoint import (
     NotAContractionError,
     PerturbationSchedule,
-    StagnatedTraceError,
     Termination,
     bound_direct,
     bound_nested,
-    derived_schedule_from_LS,
-    estimate_lipschitz,
     iterate_nested,
     iterate_perturbed,
     iterate_plain,
@@ -123,19 +120,6 @@ def test_schedule_adaptive_decay():
     assert s.magnitude(3) == pytest.approx(1e-2 * 0.125)
     with pytest.raises(ValueError):
         PerturbationSchedule.adaptive(1e-2, 1.0)
-
-
-@pytest.mark.parametrize(
-    "schedule,L_S,k,expected",
-    [
-        (PerturbationSchedule.constant(1e-3), 0.5, 7, 2e-3),
-        (PerturbationSchedule.adaptive(1e-2, 0.3), 1.0, 2, 1e-2 * 0.09),
-        (PerturbationSchedule.none(), 0.25, 0, 0.0),
-    ],
-)
-def test_derived_schedule(schedule, L_S, k, expected):
-    derived = derived_schedule_from_LS(schedule, L_S)
-    assert derived.magnitude(k) == pytest.approx(expected, abs=1e-18)
 
 
 # ---------------------------------------------------------------------------
@@ -342,56 +326,3 @@ def test_nested_bound_dominates_measured_error():
             trace = iterate_nested(S, F, sched, sched, 0.5, tol=1e-14)
             err = abs(trace.final - x_star)[0]
             assert err <= bound_nested(1e-1, 1e-1, L_S, L_F) + 1e-10
-
-
-# ---------------------------------------------------------------------------
-# lipschitz measurement
-# ---------------------------------------------------------------------------
-
-def test_estimate_lipschitz_linear_map():
-    trace = iterate_plain(halving, 1.0, tol=1e-10)
-    data = estimate_lipschitz(trace)
-    assert data.source == "measured"
-    assert data.L == pytest.approx(0.5, abs=1e-10)
-    assert data.is_contraction
-
-
-def test_estimate_lipschitz_affine_2x2():
-    problem = linear_nested(0.9, 0.9)
-    AB = problem.A @ problem.B
-
-    def f(x):
-        return AB @ x + problem.b
-
-    trace = iterate_plain(f, np.zeros(2), tol=1e-10)
-    # power iteration oracle for the dominant eigenvalue magnitude
-    v = np.ones(2)
-    for _ in range(200):
-        v = AB @ v
-        v /= norm2(v)
-    lam = abs(float(v @ (AB @ v)))
-    data = estimate_lipschitz(trace)
-    assert data.L == pytest.approx(lam, rel=0.05)
-
-
-def test_estimate_lipschitz_scalar_exp():
-    f = scalar_exp(0.3)
-    trace = iterate_plain(f, 0.5, tol=1e-10)
-    x_star = trace.final[0]
-    analytic = 0.3 * np.exp(0.3 * x_star) / 4
-    data = estimate_lipschitz(trace)
-    assert data.L == pytest.approx(analytic, rel=0.10)
-
-
-def test_estimate_lipschitz_needs_increments():
-    trace = iterate_plain(halving, 1.0, tol=0.4)  # stops after 2 steps
-    with pytest.raises(ValueError):
-        estimate_lipschitz(trace)
-
-
-def test_estimate_lipschitz_stagnated():
-    # map reaches its fixed point exactly, so the last increment is zero
-    trace = iterate_plain(lambda x: np.maximum(x - 1.0, 0.0), 3.4, tol=1e-30, max_iter=8)
-    assert trace.increments[-1] == 0.0
-    with pytest.raises(StagnatedTraceError):
-        estimate_lipschitz(trace)

@@ -63,6 +63,15 @@ def test_solve_direct_singular_names_pivot():
     assert err.value.pivot_index == 1
 
 
+def test_solve_direct_near_singular_names_pivot():
+    # LAPACK factors this without complaint (U[1, 1] = 1.1e-15 is not zero);
+    # the 1e-13 * ||M||_inf pivot test flags it
+    M = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    with pytest.raises(SingularMatrixError) as err:
+        solve_direct(M, np.ones(2))
+    assert err.value.pivot_index == 1
+
+
 def test_solve_direct_sparse_matches_dense():
     rng = np.random.default_rng(4)
     M = rng.normal(size=(12, 12)) + 12 * np.eye(12)

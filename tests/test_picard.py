@@ -76,6 +76,13 @@ def test_exact_start_stagnates_immediately():
     assert trace.total_inner_iterations == 0
 
 
+def test_max_iter_caps_outer_steps():
+    trace = picard_iterate(SPEC, relative_to_initial(1e-1), tol=1e-12, max_iter=3)
+    assert trace.terminated_by is Termination.MAX_ITER
+    assert trace.steps == 3
+    assert len(trace.residuals) == 3
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         PicardProblemSpec(n=0, viscosity=1.0)
