@@ -23,17 +23,24 @@ residual): then the threshold lies below the float64 residual floor, about
 stops with breakdown "attainable accuracy" instead of restarting until its
 iteration cap. GMRES stops the same way once its Krylov space is exhausted
 (happy breakdown, or n steps of full GMRES), where a restart cannot gain.
+
+The operator is a callable ``v -> A v`` or a matrix. A float64 CSR matrix
+is applied by scipy's ``csr_matvec`` kernel directly, the exact call that
+``A @ v`` ends in, without the dispatch around it; any other matrix (other
+formats and dtypes, dense arrays) through ``A @ v``. Both give the same bits.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
-from .linalg import norm2
+from .linalg import DimensionMismatchError, norm2
 
 DRIFT_GUARD_FACTOR = 10.0
 RESTART_PROGRESS_FACTOR = 0.5
@@ -115,6 +122,18 @@ class SolveReport:
 def _as_apply(op):
     if callable(op) and not sp.issparse(op) and not isinstance(op, np.ndarray):
         return op
+    if sp.issparse(op) and op.format == "csr" and op.dtype == np.float64:
+        m, n = op.shape
+        indptr, indices, data = op.indptr, op.indices, op.data
+
+        def csr_apply(v):
+            if v.shape != (n,):  # the kernel does not check lengths
+                raise DimensionMismatchError(f"operator is {m}x{n}, vector has shape {v.shape}")
+            y = np.zeros(m)
+            _sparsetools.csr_matvec(m, n, indptr, indices, data, v, y)
+            return y
+
+        return csr_apply
     return lambda v: np.asarray(op @ v, dtype=float)
 
 
@@ -191,16 +210,16 @@ def cg_solve(
     while it < max_iter:
         Ap = apply_op(p)
         pAp = float(p @ Ap)
-        if not np.isfinite(pAp) or pAp <= 0.0:
+        if not math.isfinite(pAp) or pAp <= 0.0:
             return report(False, it, norm2(b - apply_op(x)), "indefinite or non-finite")
         alpha = rs / pAp
         x += alpha * p
         r -= alpha * Ap
         rs_new = float(r @ r)
         it += 1
-        res = np.sqrt(rs_new)
+        res = math.sqrt(rs_new)
         history.append(res)
-        if not np.isfinite(res):
+        if not math.isfinite(res):
             return report(False, it, res, "indefinite or non-finite")
         if res <= threshold:
             r = b - apply_op(x)
@@ -270,10 +289,9 @@ def gmres_solve(
         beta = norm2(r)
         V = np.zeros((n, cycle + 1))
         H = np.zeros((cycle + 1, cycle))
-        cs = np.zeros(cycle)
-        sn = np.zeros(cycle)
-        g = np.zeros(cycle + 1)
-        g[0] = beta
+        # the Givens rotations and the rotated rhs live on Python floats: the
+        # same IEEE operations as on numpy scalars, without their overhead
+        cs, sn, g = [], [], [beta]
         V[:, 0] = r / beta
         j_used = 0
         happy = False
@@ -287,27 +305,26 @@ def gmres_solve(
             w = w - basis @ coeffs
             correction = basis.T @ w
             w = w - basis @ correction
-            H[: j + 1, j] = coeffs + correction
-            H[j + 1, j] = norm2(w)
-            happy = H[j + 1, j] < 1e-14 * r0_norm
+            h = (coeffs + correction).tolist()
+            h.append(norm2(w))
+            happy = h[j + 1] < 1e-14 * r0_norm
             if not happy:
-                V[:, j + 1] = w / H[j + 1, j]
+                V[:, j + 1] = w / h[j + 1]
             for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
-            d = float(np.hypot(H[j, j], H[j + 1, j]))
-            cs[j] = H[j, j] / d
-            sn[j] = H[j + 1, j] / d
-            H[j, j] = d
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
+                h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], -sn[i] * h[i] + cs[i] * h[i + 1]
+            # np.hypot, not math.hypot: the two differ in the last bit
+            d = float(np.hypot(h[j], h[j + 1]))
+            cs.append(h[j] / d)
+            sn.append(h[j + 1] / d)
+            h[j], h[j + 1] = d, 0.0
+            H[: j + 2, j] = h
+            g.append(-sn[j] * g[j])
             g[j] = cs[j] * g[j]
             j_used = j + 1
             total_it += 1
             res = abs(g[j_used])
             history.append(res)
-            if not np.isfinite(res):
+            if not math.isfinite(res):
                 return report(False, total_it, res, "indefinite or non-finite")
             satisfied = res <= threshold
             if satisfied or happy:

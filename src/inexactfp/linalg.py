@@ -7,6 +7,8 @@ cross-check the iterative solvers; it never appears inside them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -26,8 +28,14 @@ class SingularMatrixError(RuntimeError):
 
 
 def norm2(x: np.ndarray) -> float:
-    """Euclidean norm; 0 exactly iff x is the zero vector."""
-    return float(np.linalg.norm(np.asarray(x, dtype=float)))
+    """Euclidean norm; 0 exactly iff x is the zero vector.
+
+    The same operations as ``np.linalg.norm`` on real input, bit for bit,
+    without its dispatch. The ravel matters: a dot product over a strided
+    view sums in another order than over the contiguous copy.
+    """
+    x = np.asarray(x, dtype=float).ravel(order="K")
+    return math.sqrt(float(x.dot(x)))
 
 
 def solve_direct(M, b: np.ndarray) -> np.ndarray:
@@ -43,15 +51,17 @@ def solve_direct(M, b: np.ndarray) -> np.ndarray:
             offending pivot index.
     """
     b = np.asarray(b, dtype=float)
-    if M.shape[0] != M.shape[1]:
-        raise DimensionMismatchError(f"matrix is {M.shape[0]}x{M.shape[1]}, not square")
+    if not sp.issparse(M):
+        M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatchError(f"matrix has shape {M.shape}, not square")
     if M.shape[0] != b.shape[0]:
         raise DimensionMismatchError(
             f"matrix is {M.shape[0]}x{M.shape[1]}, rhs has length {b.shape[0]}"
         )
     if sp.issparse(M):
         return _solve_sparse(M, b)
-    return _solve_dense(np.asarray(M, dtype=float), b)
+    return _solve_dense(M, b)
 
 
 def _solve_dense(M: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from inexactfp.krylov import (
     DRIFT_GUARD_FACTOR,
     CriterionKind,
     TerminationCriterion,
+    _as_apply,
     absolute,
     cg_solve,
     gmres_solve,
@@ -40,6 +41,72 @@ def test_criterion_threshold(criterion, current, r0, rhs, satisfied):
 def test_criterion_rejects_nonpositive_tolerance():
     with pytest.raises(ValueError):
         TerminationCriterion(CriterionKind.ABSOLUTE, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# operator application
+# ---------------------------------------------------------------------------
+
+def assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def random_csr(n, seed):
+    return sp.random(n, n, density=0.3, format="csr", random_state=seed) + sp.eye(n, format="csr")
+
+
+def csr_int64_indices():
+    A = random_csr(30, 1)
+    A.indices = A.indices.astype(np.int64)
+    A.indptr = A.indptr.astype(np.int64)
+    return A
+
+
+def csr_duplicates_unsorted():
+    # row 0 holds column 2 twice and out of order; row 2 is unsorted too
+    data = np.array([1.5, -2.0, 0.25, 3.0, 1e-3, 7.0, -1.0])
+    indices = np.array([2, 0, 2, 1, 2, 0, 1])
+    indptr = np.array([0, 3, 4, 7])
+    A = sp.csr_matrix((data, indices, indptr), shape=(3, 3))
+    assert not A.has_canonical_format
+    return A
+
+
+KERNEL_CODE = _as_apply(laplacian_1d(3)).__code__
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_csr(40, 0),
+    csr_int64_indices,
+    csr_duplicates_unsorted,
+    lambda: sp.csr_array(random_csr(25, 2)),
+], ids=["int32-indices", "int64-indices", "duplicates-unsorted", "csr-array"])
+def test_float_csr_takes_the_kernel_bitwise_equal_to_matmul(make):
+    A = make()
+    n = A.shape[1]
+    apply_op = _as_apply(A)
+    assert apply_op.__code__ is KERNEL_CODE
+    rng = np.random.default_rng(n)
+    V = rng.normal(size=(n, 3))
+    for v in (rng.normal(size=n), V[:, 1]):  # contiguous, then strided
+        assert_bitwise(apply_op(v), A @ v)
+    with pytest.raises(ValueError):
+        apply_op(np.ones(n + 1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_csr(20, 3).tocsc(),
+    lambda: sp.csr_matrix(np.arange(16, dtype=np.int64).reshape(4, 4)),
+    lambda: random_csr(20, 4).toarray(),
+], ids=["csc", "int-csr", "dense"])
+def test_other_operators_take_matmul(make):
+    A = make()
+    apply_op = _as_apply(A)
+    assert apply_op.__code__ is not KERNEL_CODE
+    n = A.shape[1]
+    V = np.random.default_rng(n).normal(size=(n, 3))
+    assert_bitwise(apply_op(V[:, 1]), np.asarray(A @ V[:, 1], dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from inexactfp.linalg import (
+    DimensionMismatchError,
     SingularMatrixError,
     norm2,
     solve_direct,
@@ -24,6 +25,23 @@ def test_norm2_scaling():
         x = rng.normal(size=20)
         assert norm2(c * x) == pytest.approx(abs(c) * norm2(x), rel=1e-13)
         assert norm2(x) >= 0.0
+
+
+def _norm2_cases():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 17, 64, 1000):
+        yield rng.normal(size=n)
+    yield rng.normal(size=(200, 5))[:, 3]  # a strided column view
+    yield np.zeros(0)
+    yield np.array([1.0, np.inf, -2.0])
+    yield np.array([-np.inf])
+    yield np.array([1.0, np.nan])
+    yield np.array([np.inf, np.nan])
+
+
+@pytest.mark.parametrize("x", list(_norm2_cases()), ids=lambda x: f"{x.size}-{x.strides[0]}")
+def test_norm2_bitwise_equal_to_numpy(x):
+    assert np.float64(norm2(x)).tobytes() == np.linalg.norm(x).tobytes()
 
 
 def test_solve_direct_identity():
@@ -77,3 +95,9 @@ def test_solve_direct_sparse_matches_dense():
     M = rng.normal(size=(12, 12)) + 12 * np.eye(12)
     b = rng.normal(size=12)
     assert_allclose(solve_direct(sp.csr_matrix(M), b), solve_direct(M, b), rtol=1e-10)
+
+
+def test_solve_direct_nested_lists():
+    assert_allclose(solve_direct([[2, 1], [1, 3]], [1, 2]), [0.2, 0.6], rtol=1e-15)
+    with pytest.raises(DimensionMismatchError):
+        solve_direct([[1, 2, 3], [4, 5, 6]], [1, 2])
