@@ -24,10 +24,15 @@ stops with breakdown "attainable accuracy" instead of restarting until its
 iteration cap. GMRES stops the same way once its Krylov space is exhausted
 (happy breakdown, or n steps of full GMRES), where a restart cannot gain.
 
-The operator is a callable ``v -> A v`` or a matrix. A float64 CSR matrix
-is applied by scipy's ``csr_matvec`` kernel directly, the exact call that
-``A @ v`` ends in, without the dispatch around it; any other matrix (other
-formats and dtypes, dense arrays) through ``A @ v``. Both give the same bits.
+The operator is a callable ``v -> A v`` or a matrix. A float64 CSR or DIA
+matrix is applied by scipy's ``csr_matvec`` or ``dia_matvec`` kernel
+directly, the exact call that ``A @ v`` ends in, without the dispatch around
+it; any other matrix (other formats and dtypes, dense arrays) through
+``A @ v``. Both give the same bits. A DIA matrix with ascending offsets sums
+each row in sorted column order, as CSR does, so for finite vectors its
+product has the bits of the same matrix in CSR. The one difference: DIA
+multiplies the zeros it stores by the input too, so a non-finite entry gives
+NaN in a row where CSR skips it; the residual is non-finite either way.
 """
 
 from __future__ import annotations
@@ -122,18 +127,23 @@ class SolveReport:
 def _as_apply(op):
     if callable(op) and not sp.issparse(op) and not isinstance(op, np.ndarray):
         return op
-    if sp.issparse(op) and op.format == "csr" and op.dtype == np.float64:
+    if sp.issparse(op) and op.format in ("csr", "dia") and op.dtype == np.float64:
         m, n = op.shape
-        indptr, indices, data = op.indptr, op.indices, op.data
+        if op.format == "csr":
+            kernel = _sparsetools.csr_matvec
+            arrays = (op.indptr, op.indices, op.data)
+        else:
+            kernel = _sparsetools.dia_matvec
+            arrays = (len(op.offsets), op.data.shape[1], op.offsets, op.data)
 
-        def csr_apply(v):
-            if v.shape != (n,):  # the kernel does not check lengths
+        def kernel_apply(v):
+            if v.shape != (n,):  # the kernels do not check lengths
                 raise DimensionMismatchError(f"operator is {m}x{n}, vector has shape {v.shape}")
             y = np.zeros(m)
-            _sparsetools.csr_matvec(m, n, indptr, indices, data, v, y)
+            kernel(m, n, *arrays, v, y)
             return y
 
-        return csr_apply
+        return kernel_apply
     return lambda v: np.asarray(op @ v, dtype=float)
 
 
@@ -204,6 +214,7 @@ def cg_solve(
         return report(True, 0, r0_norm)
 
     p = r.copy()
+    tmp = np.empty_like(p)
     rs = float(r @ r)
     restart_res = r0_norm
     it = 0
@@ -213,8 +224,13 @@ def cg_solve(
         if not math.isfinite(pAp) or pAp <= 0.0:
             return report(False, it, norm2(b - apply_op(x)), "indefinite or non-finite")
         alpha = rs / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        # x, r and p are updated in place through one work vector: the
+        # same IEEE operations as x + alpha * p etc., without temporaries.
+        # Ap is not scaled in place: a callable operator may own that array
+        np.multiply(p, alpha, out=tmp)
+        x += tmp
+        np.multiply(Ap, alpha, out=tmp)
+        r -= tmp
         rs_new = float(r @ r)
         it += 1
         res = math.sqrt(rs_new)
@@ -232,7 +248,8 @@ def cg_solve(
             p = r.copy()
             rs = float(r @ r)
             continue
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     return report(False, it, norm2(b - apply_op(x)), "iteration cap")
 
@@ -310,8 +327,14 @@ def gmres_solve(
             happy = h[j + 1] < 1e-14 * r0_norm
             if not happy:
                 V[:, j + 1] = w / h[j + 1]
-            for i in range(j):
-                h[i], h[i + 1] = cs[i] * h[i] + sn[i] * h[i + 1], -sn[i] * h[i] + cs[i] * h[i + 1]
+            # rotation i mixes h[i] and h[i + 1]; its second output is the
+            # first input of rotation i + 1, so it is carried in hi
+            hi, rotated = h[0], []
+            for c, s, hn in zip(cs, sn, h[1 : j + 1]):
+                rotated.append(c * hi + s * hn)
+                hi = -s * hi + c * hn
+            h[:j] = rotated
+            h[j] = hi
             # np.hypot, not math.hypot: the two differ in the last bit
             d = float(np.hypot(h[j], h[j + 1]))
             cs.append(h[j] / d)

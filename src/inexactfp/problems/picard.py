@@ -67,7 +67,13 @@ def picard_assemble(spec: PicardProblemSpec, x: np.ndarray):
     main = 2.0 * nu / h**2 + np.abs(x) / h
     lower = -nu / h**2 - np.where(x[1:] >= 0.0, x[1:], 0.0) / h
     upper = -nu / h**2 + np.where(x[:-1] >= 0.0, 0.0, x[:-1]) / h
-    A = sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+    # the CSR arrays of sp.diags([lower, main, upper], [-1, 0, 1]), built
+    # directly: row i holds columns i - 1, i, i + 1 clipped to the grid
+    rows = np.empty((n, 3))
+    rows[1:, 0], rows[:, 1], rows[:-1, 2] = lower, main, upper
+    cols = np.arange(-1, n - 1, dtype=np.int32)[:, None] + np.arange(3, dtype=np.int32)
+    indptr = np.clip(3 * np.arange(n + 1, dtype=np.int32) - 1, 0, 3 * n - 2)
+    A = sp.csr_matrix((rows.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(n, n))
     b = A @ spec.exact_solution()
     return A, b
 

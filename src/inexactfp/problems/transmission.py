@@ -68,11 +68,18 @@ class TransmissionSystem:
     Omega2. Omega1 vectors are the ``(m, m)`` block flattened;
     B-ordered vectors are the interface column followed by the flattened
     Omega2 block.
+
+    ``A`` is stored as DIA with ascending offsets ``-m, -1, 0, 1, m``, so
+    each row sums its terms in the column order of a sorted CSR row, and CG
+    applies it with scipy's ``dia_matvec`` kernel. The zeros stored at the
+    ends of grid rows add a signed zero to a sum that is never -0.0, so for
+    finite vectors ``A @ v`` has the bits of the CSR product; ``A.tocsr()``
+    drops those zeros again. ``B`` and ``monolithic`` are CSR.
     """
 
     dx: float
     n_cells: int  # cells per unit length; interface at grid line n_cells
-    A: sp.csr_matrix
+    A: sp.dia_matrix
     B: sp.csr_matrix
     monolithic: sp.csr_matrix
     monolithic_rhs: np.ndarray
@@ -181,7 +188,7 @@ def transmission_assemble(
     fs = np.empty(x.shape)
     fs[...] = f(x, y)
 
-    A = ih2 * _laplacian(m, m)
+    A = (ih2 * _laplacian(m, m)).todia()
     # interface rows keep the full five-point stencil: a tridiagonal block
     # along the interface and a link to the first Omega2 column i = n + 1
     gamma = ih2 * sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(m, m))

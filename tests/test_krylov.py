@@ -95,11 +95,36 @@ def test_float_csr_takes_the_kernel_bitwise_equal_to_matmul(make):
         apply_op(np.ones(n + 1))
 
 
+def dia_unsorted_offsets():
+    # offsets out of order and a data array shorter than the matrix is wide
+    data = np.random.default_rng(5).normal(size=(3, 18))
+    return sp.dia_matrix((data, [3, -2, 0]), shape=(20, 20))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: laplacian_1d(30).todia(),
+    dia_unsorted_offsets,
+    lambda: sp.dia_array(random_csr(25, 6).todia()),
+], ids=["tridiagonal", "unsorted-offsets", "dia-array"])
+def test_float_dia_takes_the_kernel_bitwise_equal_to_matmul(make):
+    D = make()
+    n = D.shape[1]
+    apply_op = _as_apply(D)
+    assert apply_op.__code__ is KERNEL_CODE
+    rng = np.random.default_rng(n)
+    V = rng.normal(size=(n, 3))
+    for v in (rng.normal(size=n), V[:, 1]):  # contiguous, then strided
+        assert_bitwise(apply_op(v), D @ v)
+    with pytest.raises(ValueError):
+        apply_op(np.ones(n - 1))
+
+
 @pytest.mark.parametrize("make", [
     lambda: random_csr(20, 3).tocsc(),
     lambda: sp.csr_matrix(np.arange(16, dtype=np.int64).reshape(4, 4)),
     lambda: random_csr(20, 4).toarray(),
-], ids=["csc", "int-csr", "dense"])
+    lambda: sp.dia_matrix(np.arange(16, dtype=np.int64).reshape(4, 4)),
+], ids=["csc", "int-csr", "dense", "int-dia"])
 def test_other_operators_take_matmul(make):
     A = make()
     apply_op = _as_apply(A)
@@ -118,6 +143,16 @@ def test_cg_identity_single_iteration():
     rep = cg_solve(np.eye(4), b, np.zeros(4), relative_to_initial(0.5))
     assert rep.converged and rep.iterations == 1
     assert_allclose(rep.solution, b, rtol=1e-12)
+
+
+def test_cg_leaves_inputs_unmodified():
+    A = laplacian_1d(12)
+    b, x0 = np.linspace(-1.0, 2.0, 12), np.full(12, 0.5)
+    b_before, x0_before = b.copy(), x0.copy()
+    rep = cg_solve(A, b, x0, absolute(1e-10))
+    assert rep.converged and rep.iterations > 1
+    assert_bitwise(b, b_before)
+    assert_bitwise(x0, x0_before)
 
 
 def test_cg_laplacian_matches_direct():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from inexactfp.fixedpoint import Termination
@@ -45,6 +46,31 @@ def test_assemble_upwind_diagonal_nonnegative():
             assert convection[i, i - 1] <= 0 and convection[i, min(i + 1, 9)] >= -1e-15
         if x[i] < 0 and i < 9:
             assert convection[i, i + 1] <= 0
+
+
+def diags_reference(spec, x):
+    """A(x) built with sp.diags, the reference for the direct CSR build."""
+    h, nu = spec.h, spec.viscosity
+    main = 2.0 * nu / h**2 + np.abs(x) / h
+    lower = -nu / h**2 - np.where(x[1:] >= 0.0, x[1:], 0.0) / h
+    upper = -nu / h**2 + np.where(x[:-1] >= 0.0, 0.0, x[:-1]) / h
+    return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 200])
+def test_assemble_csr_arrays_bitwise_equal_to_diags(n):
+    spec = PicardProblemSpec(n=n, viscosity=1e-2)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    x[::4] = 0.0
+    x[1::4] = -0.0
+    for field in (x, -x, np.zeros(n), np.full(n, -0.0)):
+        A, _ = picard_assemble(spec, field)
+        ref = diags_reference(spec, field)
+        assert A.shape == ref.shape
+        for part in ("indptr", "indices", "data"):
+            got, want = getattr(A, part), getattr(ref, part)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), part
 
 
 def test_forcing_fixed_point_property():

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from inexactfp.fixedpoint import Termination
-from inexactfp.krylov import absolute, cg_solve, relative_to_initial
+from inexactfp.krylov import _as_apply, absolute, cg_solve, relative_to_initial
 from inexactfp.linalg import norm2, solve_direct
 from inexactfp.problems import (
     DnState,
@@ -32,7 +32,7 @@ def spd_spot_check(matrix: sp.csr_matrix, probes: int = 3) -> bool:
         if nw == 0.0:
             return False
         v = w / nw
-    sym_gap = abs(matrix - matrix.T)
+    sym_gap = abs(matrix - matrix.T).tocsr()  # A is DIA, which has no max()
     return sym_gap.max() == 0.0 if sym_gap.nnz else True
 
 
@@ -107,7 +107,7 @@ def test_exact_solution_samples():
 
 def test_blocks_symmetric_and_spd(sys10):
     for M in (sys10.A, sys10.B, sys10.monolithic):
-        gap = abs(M - M.T)
+        gap = abs(M - M.T).tocsr()
         assert gap.nnz == 0 or gap.max() == 0.0
         assert spd_spot_check(M)
         # CG converges on a generic rhs: the practical SPD certificate
@@ -213,13 +213,44 @@ def test_stencil_matches_per_node_reference(n):
     sys_ = transmission_assemble(1.0 / n)
     ref = per_node_reference(n, lambda x, y: float(default_forcing(x, y)))
     for name in ("A", "B", "monolithic"):
-        got, want = getattr(sys_, name), ref[name]
+        got, want = getattr(sys_, name).tocsr(), ref[name]
         assert got.shape == want.shape, name
-        # same CSR arrays: sorted column indices and no stored zeros
+        # same CSR arrays: sorted column indices and no stored zeros (A is
+        # DIA; its conversion drops the zeros stored at the grid row ends)
         for part in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(got, part), getattr(want, part), err_msg=name)
     for name in ("f_omega1", "f_block2", "monolithic_rhs"):
         np.testing.assert_array_equal(getattr(sys_, name), ref[name], err_msg=name)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10, 49, 80])
+def test_dia_block_is_bitwise_the_csr_laplacian_product(n):
+    sys_ = transmission_assemble(1.0 / n)
+    A, csr = sys_.A, sys_.A.tocsr()
+    assert A.format == "dia"
+    assert np.all(np.diff(A.offsets) > 0)
+    apply_op = _as_apply(A)
+    rng = np.random.default_rng(n)
+    size = A.shape[0]
+    v = rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size=size)
+    v[::7] = 0.0
+    v[3::7] = -0.0
+    for w in (v, -v, np.full(size, -0.0), np.ones(size)):
+        assert (A @ w).tobytes() == (csr @ w).tobytes()
+        assert apply_op(w).tobytes() == (csr @ w).tobytes()
+
+
+# outer sweeps and CG iterations at dx = 1/20; a last-bit change in the
+# matvec or the CG updates can move them
+@pytest.mark.parametrize("criterion, steps, cg_iterations", [
+    (absolute(1e-2), 60, 2930),
+    (relative_to_initial(1e-1), 199, 5462),
+], ids=["abs-1e-2", "rel-1e-1"])
+def test_dn_work_counters_pinned(criterion, steps, cg_iterations):
+    trace = dn_iterate(transmission_assemble(1 / 20), criterion, tol=1e-14)
+    assert trace.terminated_by is Termination.INCREMENT_BELOW_TOL
+    assert trace.steps == steps
+    assert trace.total_inner_iterations == cg_iterations
 
 
 @pytest.mark.parametrize("n", [2, 3, 10])
