@@ -2,15 +2,14 @@
 CSV or Markdown tables.
 
 Every experiment is deterministic for a given configuration; divergent runs
-show up as flagged rows instead of aborting a sweep. Wall times are
-measured and kept on the in-memory rows but never emitted, so identical
+show up as flagged rows instead of aborting a sweep. A row holds exactly
+the report's columns, none of them a wall time, so identical
 configurations produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -156,24 +155,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_UNEMITTED_COLUMNS = ("wall_time",)  # measured but environment-dependent
-
-
-def _emitted_columns(report: TableReport) -> list[str]:
-    return [c for c in report.columns if c not in _UNEMITTED_COLUMNS]
-
-
 def emit(report: TableReport, out_format: str) -> bytes:
     """Render a report as CSV or Markdown bytes (UTF-8, LF line endings).
 
     CSV is plain data: a header naming every column, one row per grid
     point, floats in scientific notation with 4 significant digits.
     Markdown mirrors the reference layout where one is defined for the
-    experiment and falls back to a flat pipe table otherwise. Wall times
-    stay on the in-memory report only, keeping the output bytes
-    deterministic.
+    experiment and falls back to a flat pipe table otherwise.
     """
-    columns = _emitted_columns(report)
+    columns = report.columns
     if out_format == "csv":
         lines = [",".join(columns)]
         for row in report.rows:
@@ -208,7 +198,7 @@ def _emit_markdown(report: TableReport) -> str:
             ],
         )
     else:
-        columns = _emitted_columns(report)
+        columns = report.columns
         lines.append(_pipe_row(columns))
         lines.append(_pipe_row(["---"] * len(columns)))
         for row in report.rows:
@@ -254,14 +244,13 @@ def _run_scalar_direct(cfg: ExperimentConfig) -> TableReport:
     eps_values = _given(cfg.eps_values, [1e-1, 1e-2, 1e-3])
     tol = _given(cfg.tol, 1e-14)
     max_iter = _given(cfg.max_outer, DEFAULT_MAX_ITER)
-    columns = ["gamma", "L", "eps", "error", "bound", "outer_iterations", "wall_time"]
+    columns = ["gamma", "L", "eps", "error", "bound", "outer_iterations"]
     rows = []
     for gamma in gammas:
         f, L = scalar_map(ScalarMapSpec(gamma))
         x_star = iterate_plain(f, 0.5, tol=tol).final
         for eps in eps_values:
-            t0 = time.perf_counter()
-            schedule = PerturbationSchedule.constant(eps, direction=[1.0])
+            schedule = PerturbationSchedule.constant(eps)
             trace = iterate_perturbed(f, schedule, 0.5, tol=tol, max_iter=max_iter)
             err = float(abs(trace.final - x_star)[0])
             rows.append({
@@ -271,24 +260,25 @@ def _run_scalar_direct(cfg: ExperimentConfig) -> TableReport:
                 "error": err,
                 "bound": bound_direct(eps, L),
                 "outer_iterations": trace.steps,
-                "wall_time": time.perf_counter() - t0,
             })
     return TableReport("scalar-direct", columns, rows)
 
 
 def _run_scalar_adaptive(cfg: ExperimentConfig) -> TableReport:
     gammas = _given(cfg.gammas, [0.3, 1.145, 1.2])
-    pairs = list(zip(_given(cfg.ls_values, [0.9]), _given(cfg.lf_values, [0.99])))
+    ls_values = _given(cfg.ls_values, [0.9])
+    lf_values = _given(cfg.lf_values, [0.99])
+    if len(ls_values) != len(lf_values):
+        raise UsageError(f"scalar-adaptive pairs ls with lf, got {ls_values} and {lf_values}")
     tol = _given(cfg.tol, 1e-15)
     max_iter = _given(cfg.max_outer, DEFAULT_MAX_ITER)
     c = cfg.adaptive_c
-    columns = ["problem", "L", "c", "error", "outer_iterations", "wall_time"]
+    columns = ["problem", "L", "c", "error", "outer_iterations"]
     rows = []
     for gamma in gammas:
         f, L = scalar_map(ScalarMapSpec(gamma))
         x_star = iterate_plain(f, 0.5, tol=tol).final
-        t0 = time.perf_counter()
-        schedule = PerturbationSchedule.adaptive(c, L, direction=[1.0])
+        schedule = PerturbationSchedule.adaptive(c, L)
         trace = iterate_perturbed(f, schedule, 0.5, tol=tol, max_iter=max_iter)
         rows.append({
             "problem": f"scalar gamma={gamma}",
@@ -296,13 +286,11 @@ def _run_scalar_adaptive(cfg: ExperimentConfig) -> TableReport:
             "c": c,
             "error": float(abs(trace.final - x_star)[0]),
             "outer_iterations": trace.steps,
-            "wall_time": time.perf_counter() - t0,
         })
-    for L_S, L_F in pairs:
+    for L_S, L_F in zip(ls_values, lf_values):
         S, F, _, _ = nested_scalar(NestedScalarSpec.from_lipschitz(L_S, L_F))
         x_star = iterate_plain(lambda x: S(F(x)), 0.5, tol=tol).final
-        t0 = time.perf_counter()
-        schedule = PerturbationSchedule.adaptive(c, L_S * L_F, direction=[1.0])
+        schedule = PerturbationSchedule.adaptive(c, L_S * L_F)
         trace = iterate_nested(S, F, schedule, schedule, 0.5, tol=tol, max_iter=max_iter)
         rows.append({
             "problem": f"nested LS={L_S} LF={L_F}",
@@ -310,7 +298,6 @@ def _run_scalar_adaptive(cfg: ExperimentConfig) -> TableReport:
             "c": c,
             "error": float(abs(trace.final - x_star)[0]),
             "outer_iterations": trace.steps,
-            "wall_time": time.perf_counter() - t0,
         })
     return TableReport("scalar-adaptive", columns, rows)
 
@@ -321,14 +308,13 @@ def _run_linear_nested(cfg: ExperimentConfig) -> TableReport:
     eps_values = _given(cfg.eps_values, [1e-1, 1e-2, 1e-3])
     tol = _given(cfg.tol, 1e-14)
     max_iter = _given(cfg.max_outer, DEFAULT_MAX_ITER)
-    columns = ["eps", "alpha", "beta", "bound", "error", "outer_iterations", "wall_time"]
+    columns = ["eps", "alpha", "beta", "bound", "error", "outer_iterations"]
     rows = []
     for eps in eps_values:
         for alpha in alphas:
             for beta in betas:
                 problem = linear_nested(alpha, beta)
-                t0 = time.perf_counter()
-                schedule = PerturbationSchedule.constant(eps)  # all-ones direction
+                schedule = PerturbationSchedule.constant(eps)
                 trace = iterate_nested(
                     problem.S, problem.F, schedule, schedule, np.zeros(2), tol, max_iter
                 )
@@ -340,7 +326,6 @@ def _run_linear_nested(cfg: ExperimentConfig) -> TableReport:
                     "bound": bound_nested(eps, eps, alpha, beta),
                     "error": err,
                     "outer_iterations": trace.steps,
-                    "wall_time": time.perf_counter() - t0,
                 })
     return TableReport("linear-nested", columns, rows)
 
@@ -353,7 +338,7 @@ def _run_scalar_nested(cfg: ExperimentConfig) -> TableReport:
     max_iter = _given(cfg.max_outer, DEFAULT_MAX_ITER)
     columns = [
         "eps", "L_S", "L_F", "global_estimate", "local_estimate", "error",
-        "outer_iterations", "wall_time",
+        "outer_iterations",
     ]
     rows = []
     for eps in eps_values:
@@ -363,8 +348,7 @@ def _run_scalar_nested(cfg: ExperimentConfig) -> TableReport:
                 S, F, _, _ = nested_scalar(spec)
                 x_star = float(iterate_plain(lambda x: S(F(x)), 0.5, tol=tol).final[0])
                 dS, dF = nested_local_derivatives(spec, x_star)
-                t0 = time.perf_counter()
-                schedule = PerturbationSchedule.constant(eps, direction=[1.0])
+                schedule = PerturbationSchedule.constant(eps)
                 trace = iterate_nested(S, F, schedule, schedule, 0.5, tol, max_iter)
                 rows.append({
                     "eps": eps,
@@ -374,7 +358,6 @@ def _run_scalar_nested(cfg: ExperimentConfig) -> TableReport:
                     "local_estimate": bound_nested(eps, eps, dS, dF),
                     "error": float(abs(trace.final - x_star)[0]),
                     "outer_iterations": trace.steps,
-                    "wall_time": time.perf_counter() - t0,
                 })
     return TableReport("scalar-nested", columns, rows)
 
@@ -392,14 +375,13 @@ def _run_picard(cfg: ExperimentConfig) -> TableReport:
     criteria = ["rel", "abs"] if cfg.criterion is None else [cfg.criterion]
     columns = [
         "criterion", "tau", "outer_iterations", "gmres_iterations", "residual",
-        "error", "exit", "wall_time",
+        "error", "exit",
     ]
     rows = []
     exact = spec.exact_solution()
     for label in criteria:
         taus = _given(cfg.taus, _PICARD_DEFAULT_TAUS[label])
         for tau in taus:
-            t0 = time.perf_counter()
             trace = picard_iterate(
                 spec, make_criterion(label, tau), tol=tol,
                 max_iter=_given(cfg.max_outer, 500),
@@ -412,7 +394,6 @@ def _run_picard(cfg: ExperimentConfig) -> TableReport:
                 "residual": trace.residuals[-1],
                 "error": norm2(trace.final - exact),
                 "exit": trace.terminated_by.value,
-                "wall_time": time.perf_counter() - t0,
             })
     report = TableReport("picard", columns, rows)
     report.provenance["qualitative"] = True
@@ -431,7 +412,6 @@ def _transmission_runs(cfg, criteria_taus, dxs, tol, systems=None):
             systems[dx] = transmission_assemble(dx)
         sys_ = systems[dx]
         for label, tau in criteria_taus:
-            t0 = time.perf_counter()
             trace = dn_iterate(
                 sys_, make_criterion(label, tau), tol=tol,
                 max_iter=_given(cfg.max_outer, DEFAULT_MAX_ITER),
@@ -447,7 +427,6 @@ def _transmission_runs(cfg, criteria_taus, dxs, tol, systems=None):
                 "interface_error": err_gamma,
                 "full_error": err_full,
                 "status": trace.terminated_by.value,
-                "wall_time": time.perf_counter() - t0,
             }
 
 
@@ -463,7 +442,7 @@ def _run_transmission_sweep(cfg: ExperimentConfig) -> TableReport:
     tol = _given(cfg.tol, 1e-14)
     columns = [
         "criterion", "tau", "dx", "outer_iterations", "cg_iterations",
-        "interface_error", "full_error", "status", "wall_time",
+        "interface_error", "full_error", "status",
     ]
     rows = list(_transmission_runs(cfg, [(label, t) for t in taus], dxs, tol))
     return TableReport(cfg.experiment, columns, rows)
@@ -474,10 +453,13 @@ def _run_transmission_efficiency(cfg: ExperimentConfig) -> TableReport:
     tau_r = 1e-1 whatever the outer tolerance; the rhs-relative and absolute
     schemes must tighten their inner tolerance to the outer one."""
     outer_tols = _given(cfg.outer_tols, [1e-1, 1e-2, 1e-3, 1e-4])
-    dx = _given(cfg.dxs, [0.05])[0]
+    dxs = _given(cfg.dxs, [0.05])
+    if len(dxs) != 1:
+        raise UsageError(f"transmission-efficiency runs one dx, got {dxs}")
+    dx = dxs[0]
     columns = [
         "outer_tol", "criterion", "tau", "outer_iterations", "cg_iterations",
-        "interface_error", "full_error", "status", "wall_time",
+        "interface_error", "full_error", "status",
     ]
     rows = []
     systems: dict = {}

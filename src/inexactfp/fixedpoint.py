@@ -10,9 +10,9 @@ x^{k+1} = S(F(x^k) + eps_k) + delta_k obeys
 Scalar problems ride along as length-1 vectors so one outer loop, ``_drive``,
 serves every driver: the three here, Picard and Dirichlet-Neumann, each
 supplying a step and, where it does not test the increment, an exit test.
-Maps may optionally return (value, SolveReport) pairs; that is how
-iterations whose function evaluation is itself an inner solve feed their
-solve metadata into the trace.
+The maps of the three drivers here return vectors; Picard and
+Dirichlet-Neumann, whose steps are inner solves, hand their solve reports
+to the trace through the step.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .linalg import norm2
 
 DEFAULT_MAX_ITER = 100_000
 DIVERGENCE_LIMIT = 1e12
-_UNIT_NORM_TOL = 1e-12
 
 
 class Termination(enum.Enum):
@@ -79,66 +78,30 @@ class FixedPointTrace:
         return sum(r.iterations for step in self.inner_reports for r in step)
 
 
-class ScheduleKind(enum.Enum):
-    NONE = "none"
-    CONSTANT = "constant"
-    ADAPTIVE = "adaptive"
-
-
 @dataclass(frozen=True)
 class PerturbationSchedule:
-    """Rule producing the perturbation vector added at outer step k.
+    """The perturbation of norm eps_k = magnitude0 * decay**k added at outer
+    step k, spread evenly over the iterate: eps_k * ones(n) / sqrt(n)."""
 
-    ``direction=None`` means "normalized all-ones", resolved against the
-    iterate dimension at application time; an explicit direction is
-    normalized once and must have unit norm.
-    """
-
-    kind: ScheduleKind
-    magnitude0: float = 0.0
-    decay: float = 1.0  # adaptive: eps_k = magnitude0 * decay**k
-    direction: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind is ScheduleKind.ADAPTIVE and not 0.0 < self.decay < 1.0:
-            raise ValueError(f"adaptive decay must lie in (0, 1), got {self.decay}")
-        if self.direction is not None:
-            d = np.atleast_1d(np.asarray(self.direction, dtype=float))
-            nd = norm2(d)
-            if abs(nd - 1.0) > _UNIT_NORM_TOL:
-                d = d / nd
-            object.__setattr__(self, "direction", d)
+    magnitude0: float
+    decay: float = 1.0
 
     @staticmethod
-    def none() -> "PerturbationSchedule":
-        return PerturbationSchedule(ScheduleKind.NONE)
+    def constant(magnitude: float) -> "PerturbationSchedule":
+        return PerturbationSchedule(magnitude)
 
     @staticmethod
-    def constant(magnitude: float, direction=None) -> "PerturbationSchedule":
-        return PerturbationSchedule(ScheduleKind.CONSTANT, magnitude, 1.0, direction)
-
-    @staticmethod
-    def adaptive(c: float, L: float, direction=None) -> "PerturbationSchedule":
-        return PerturbationSchedule(ScheduleKind.ADAPTIVE, c, L, direction)
+    def adaptive(c: float, L: float) -> "PerturbationSchedule":
+        """The decaying schedule c L^k, for a contraction constant 0 < L < 1."""
+        if not 0.0 < L < 1.0:
+            raise ValueError(f"adaptive decay must lie in (0, 1), got {L}")
+        return PerturbationSchedule(c, L)
 
     def magnitude(self, k: int) -> float:
-        if self.kind is ScheduleKind.NONE:
-            return 0.0
-        if self.kind is ScheduleKind.CONSTANT:
-            return self.magnitude0
         return self.magnitude0 * self.decay**k
 
     def vector(self, k: int, size: int) -> np.ndarray:
-        m = self.magnitude(k)
-        if m == 0.0:
-            return np.zeros(size)
-        if self.direction is None:
-            return np.full(size, m / math.sqrt(size))
-        if self.direction.shape[0] != size:
-            raise ValueError(
-                f"direction has length {self.direction.shape[0]}, iterate has {size}"
-            )
-        return m * self.direction
+        return np.full(size, self.magnitude(k) / math.sqrt(size))
 
 
 def bound_direct(eps: float, L: float) -> float:
@@ -161,17 +124,6 @@ def bound_nested(eps: float, delta: float, L_S: float, L_F: float) -> float:
 
 def _as_state(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
-
-
-def _call(f, x):
-    """Evaluate a map that may return a bare vector or (vector, report(s))."""
-    out = f(x)
-    if isinstance(out, tuple):
-        value, reports = out
-        if isinstance(reports, SolveReport):
-            reports = [reports]
-        return _as_state(value), list(reports)
-    return _as_state(out), []
 
 
 def _drive(step, x0, tol: float, max_iter: int, exit_test=None) -> FixedPointTrace:
@@ -219,7 +171,7 @@ def iterate_plain(
     """Run x^{k+1} = f(x^k) until the increment drops below ``tol``."""
 
     def step(x, k):
-        return _call(f, x)
+        return _as_state(f(x)), []
 
     return _drive(step, x0, tol, max_iter)
 
@@ -234,8 +186,8 @@ def iterate_perturbed(
     """Run x^{k+1} = f(x^k) + eps_k with eps_k drawn from ``schedule``."""
 
     def step(x, k):
-        y, reports = _call(f, x)
-        return y + schedule.vector(k, y.shape[0]), reports
+        y = _as_state(f(x))
+        return y + schedule.vector(k, y.shape[0]), []
 
     return _drive(step, x0, tol, max_iter)
 
@@ -249,18 +201,12 @@ def iterate_nested(
     tol: float,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> FixedPointTrace:
-    """Run x^{k+1} = S(F(x^k) + eps_k) + delta_k.
-
-    With both schedules None and report-returning S, F this is the implicit
-    mode: the perturbations are whatever the inner solves left behind, and
-    the trace collects their reports.
-    """
+    """Run x^{k+1} = S(F(x^k) + eps_k) + delta_k."""
 
     def step(x, k):
-        inner, rep_f = _call(F, x)
+        inner = _as_state(F(x))
         inner = inner + eps_schedule.vector(k, inner.shape[0])
-        outer, rep_s = _call(S, inner)
-        outer = outer + delta_schedule.vector(k, outer.shape[0])
-        return outer, rep_f + rep_s
+        outer = _as_state(S(inner))
+        return outer + delta_schedule.vector(k, outer.shape[0]), []
 
     return _drive(step, x0, tol, max_iter)

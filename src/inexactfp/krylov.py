@@ -210,6 +210,8 @@ def cg_solve(
             rhs_degenerate=degenerate,
         )
 
+    if not math.isfinite(r0_norm):  # inf <= tau * inf would pass the test below
+        return report(False, 0, r0_norm, "indefinite or non-finite")
     if r0_norm <= threshold:
         return report(True, 0, r0_norm)
 
@@ -296,6 +298,8 @@ def gmres_solve(
             rhs_degenerate=degenerate,
         )
 
+    if not math.isfinite(r0_norm):  # inf <= tau * inf would pass the test below
+        return report(False, 0, r0_norm, "indefinite or non-finite")
     if r0_norm <= threshold:
         return report(True, 0, r0_norm)
 

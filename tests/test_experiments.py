@@ -5,6 +5,7 @@ import pytest
 
 from inexactfp.cli import main, read_config_file
 from inexactfp.experiments import (
+    EXPERIMENT_IDS,
     ExperimentConfig,
     TableReport,
     UsageError,
@@ -87,11 +88,45 @@ def test_linear_nested_markdown_layout():
     assert "beta=1.000e-01" in lines[0] and "beta=9.000e-01" in lines[0]
 
 
-def test_wall_time_not_emitted():
-    report = run_experiment(small_config())
-    assert "wall_time" in report.rows[0]
-    payload = emit(report, "csv") + emit(report, "md")
-    assert b"wall_time" not in payload
+TINY_GRIDS = {
+    "scalar-direct": dict(gammas=[0.3], eps_values=[1e-2]),
+    "scalar-adaptive": dict(gammas=[0.3], ls_values=[0.9], lf_values=[0.99]),
+    "linear-nested": dict(alphas=[0.1], betas=[0.1], eps_values=[1e-1]),
+    "scalar-nested": dict(ls_values=[0.1], lf_values=[0.01], eps_values=[1e-1]),
+    "picard": dict(criterion="rel", taus=[1e-1], max_outer=3),
+    "transmission-error": dict(criterion="abs", taus=[1e-1], dxs=[0.2]),
+    "transmission-iters": dict(criterion="rel", taus=[1e-1], dxs=[0.2]),
+    "transmission-efficiency": dict(outer_tols=[1e-1], dxs=[0.2]),
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
+def test_rows_hold_exactly_the_columns(experiment):
+    report = run_experiment(ExperimentConfig(experiment=experiment, **TINY_GRIDS[experiment]))
+    assert report.rows
+    for row in report.rows:
+        assert list(row) == report.columns
+    header = emit(report, "csv").decode("utf-8").splitlines()[0]
+    assert header == ",".join(report.columns)
+
+
+def test_inner_guess_zero_stalls_where_previous_converges():
+    # the relative-to-initial rule is exact only from the previous sweep's
+    # solution: from a zero guess its perturbation never shrinks
+    def run(inner_guess):
+        cfg = ExperimentConfig(
+            experiment="transmission-iters", criterion="rel", taus=[1e-1], dxs=[0.1],
+            max_outer=200, inner_guess=inner_guess,
+        )
+        return run_experiment(cfg).rows[0]
+
+    previous, zero = run("previous"), run("zero")
+    assert previous["status"] == "increment_below_tol"
+    assert previous["outer_iterations"] == 102
+    assert previous["interface_error"] < 1e-13
+    assert zero["status"] == "max_iter"
+    assert zero["outer_iterations"] == 200
+    assert zero["interface_error"] == pytest.approx(5.45e-2, rel=1e-2)
 
 
 def test_transmission_error_rows_flag_status():
@@ -175,8 +210,15 @@ def test_cli_config_file_with_flag_override(tmp_path):
     (["--experiment", "transmission-error", "--dx", "1/10", "--max-outer", "-3"], None),
     (["--experiment", "transmission-error", "--tau", ","], None),
     (["--experiment", "scalar-direct", "--export-fields", "p"], None),
+    (["--experiment", "scalar-adaptive", "--ls", "0.9,0.5", "--lf", "0.99"], None),
+    (["--experiment", "scalar-adaptive", "--ls", "0.9,0.5"], None),
+    (["--experiment", "transmission-efficiency", "--dx", "0.1,0.05"], None),
+    (["--experiment", "transmission-efficiency", "--dx", "0.1,0.05",
+      "--export-fields", "p"], None),
 ], ids=["eps-abc", "dx-1/0", "config-tol-oops", "config-missing", "tol-nan", "dx-nan",
-        "max-outer-0", "max-outer-neg", "tau-empty", "export-fields-scalar"])
+        "max-outer-0", "max-outer-neg", "tau-empty", "export-fields-scalar",
+        "ls-lf-lengths", "ls-lf-default-length", "efficiency-two-dx",
+        "efficiency-two-dx-export"])
 def test_cli_malformed_number_is_usage_error(argv, config_text, tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"  # written only when the case has a file
     if config_text is not None:

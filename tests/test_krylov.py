@@ -308,6 +308,25 @@ def test_threshold_below_floor_stops_at_attainable_accuracy(solver, n):
     assert rep.final_residual_norm == pytest.approx(true_res, rel=1e-9)
 
 
+INF_RHS = np.array([1.0, 1.0, np.inf, 1.0, 1.0])
+INF_GUESS = np.array([0.0, np.inf, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("solver", SOLVERS, ids=["cg", "gmres"])
+@pytest.mark.parametrize("make, b, x0", [
+    (relative_to_initial, INF_RHS, np.zeros(5)),
+    (relative_to_rhs, INF_RHS, np.zeros(5)),
+    (relative_to_initial, np.ones(5), INF_GUESS),
+], ids=["rel", "relb", "rel-inf-guess"])
+def test_non_finite_initial_residual_is_not_converged(solver, make, b, x0):
+    # inf <= tau * inf holds, so a relative threshold must not be tested on it
+    rep = solver(laplacian_1d(5), b, x0, make(0.1))
+    assert rep.converged is False
+    assert rep.iterations == 0
+    assert rep.breakdown == "indefinite or non-finite"
+    assert rep.final_residual_norm == np.inf
+
+
 def test_cg_iteration_cap_reported_before_floor():
     A = laplacian_1d(50)
     b = np.random.default_rng(1).normal(size=50)
