@@ -166,7 +166,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(payload.decode("utf-8"))
         if cfg.export_fields:
-            dx = min(cfg.dxs or [0.05])
+            dx = min(cfg.with_defaults().dxs)
             for path in export_field_csvs(dx, cfg.export_fields):
                 print(f"wrote {path}", file=sys.stderr)
         return 0

@@ -2,16 +2,16 @@
 CSV or Markdown tables.
 
 Every experiment is deterministic for a given configuration; divergent runs
-show up as flagged rows instead of aborting a sweep. A row holds exactly
-the report's columns, none of them a wall time, so identical
-configurations produce byte-identical files.
+show up as flagged rows instead of aborting a sweep. The rows name the
+report's columns, none of them a wall time, so identical configurations
+produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from dataclasses import dataclass, field as dc_field, fields, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .fixedpoint import (
     iterate_perturbed,
     iterate_plain,
 )
-from .krylov import TerminationCriterion, absolute, relative_to_initial, relative_to_rhs
+from .krylov import absolute, relative_to_initial, relative_to_rhs
 from .linalg import norm2
 from .problems import (
     NestedScalarSpec,
@@ -42,46 +42,31 @@ from .problems import (
     solution_errors,
     transmission_assemble,
 )
+from .problems.transmission import mesh_cells
 
-EXPERIMENT_IDS = (
-    "scalar-direct",
-    "scalar-adaptive",
-    "linear-nested",
-    "scalar-nested",
-    "picard",
-    "transmission-error",
-    "transmission-iters",
-    "transmission-efficiency",
-)
-
-CRITERION_LABELS = ("rel", "relb", "abs")
-
-_CRITERION_FACTORY = {
-    "rel": relative_to_initial,
-    "relb": relative_to_rhs,
-    "abs": absolute,
-}
+_CRITERIA = {"rel": relative_to_initial, "relb": relative_to_rhs, "abs": absolute}
+CRITERION_LABELS = tuple(_CRITERIA)
 
 
 class UsageError(ValueError):
     """Invalid experiment configuration."""
 
 
-def make_criterion(label: str, tau: float) -> TerminationCriterion:
-    try:
-        return _CRITERION_FACTORY[label](tau)
-    except KeyError:
-        raise UsageError(f"unknown criterion {label!r}; expected one of {CRITERION_LABELS}")
-
-
+_READ_BY_ALL = ("experiment", "out_format", "out_path")
 _POSITIVE_LISTS = ("gammas", "taus", "dxs", "outer_tols")
 _NONNEGATIVE_LISTS = ("eps_values", "alphas", "betas", "ls_values", "lf_values")
 
 
 @dataclass
 class ExperimentConfig:
-    """Grid and output settings for one experiment run. Unset fields fall
-    back to per-experiment defaults mirroring the reference tables."""
+    """Grid and output settings for one experiment run.
+
+    Each experiment reads the fields of its ``_EXPERIMENTS`` entry; a field
+    left ``None`` takes the entry's reference-table default (see
+    ``with_defaults``). A field the experiment does not read must keep its
+    dataclass default (``None``, or ``adaptive_c=1e-2`` and
+    ``inner_guess="previous"``), else ``validate`` raises UsageError.
+    """
 
     experiment: str
     gammas: list[float] | None = None
@@ -107,6 +92,14 @@ class ExperimentConfig:
             raise UsageError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENT_IDS}"
             )
+        reads = _EXPERIMENTS[self.experiment][1]
+        for f in fields(self):
+            if f.name not in reads and f.name not in _READ_BY_ALL and (
+                getattr(self, f.name) != f.default
+            ):
+                raise UsageError(
+                    f"{self.experiment} does not read {f.name}; it reads {', '.join(reads)}"
+                )
         if self.criterion is not None and self.criterion not in CRITERION_LABELS:
             raise UsageError(
                 f"unknown criterion {self.criterion!r}; expected one of {CRITERION_LABELS}"
@@ -135,16 +128,31 @@ class ExperimentConfig:
             raise UsageError(f"tol must be positive, got {self.tol}")
         if self.max_outer is not None and self.max_outer < 1:
             raise UsageError(f"max_outer must be at least 1, got {self.max_outer}")
-        if self.export_fields and not self.experiment.startswith("transmission"):
-            raise UsageError("--export-fields applies to transmission experiments")
+        for dx in self.dxs or ():
+            try:
+                mesh_cells(dx)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
+
+    def with_defaults(self) -> ExperimentConfig:
+        """A validated copy with every unset field the experiment reads
+        set to its reference-table default."""
+        self.validate()
+        reads = _EXPERIMENTS[self.experiment][1]
+        unset = {name: reads[name] for name in reads if getattr(self, name) is None}
+        return replace(self, **copy.deepcopy(unset))
 
 
 @dataclass
 class TableReport:
     experiment: str
-    columns: list[str]
     rows: list[dict]
     provenance: dict = dc_field(default_factory=dict)
+
+    @property
+    def columns(self) -> list[str]:
+        """The rows' keys, in order; every row holds the same ones."""
+        return list(self.rows[0]) if self.rows else []
 
 
 def _fmt(value) -> str:
@@ -235,23 +243,14 @@ def _markdown_blocks(report, outer, row_key, col_key, line_fields):
 # individual experiments
 # --------------------------------------------------------------------------
 
-def _given(value, default):  # a config field, or the experiment's default if unset
-    return default if value is None else value
-
-
 def _run_scalar_direct(cfg: ExperimentConfig) -> TableReport:
-    gammas = _given(cfg.gammas, [0.3, 1.145, 1.2])
-    eps_values = _given(cfg.eps_values, [1e-1, 1e-2, 1e-3])
-    tol = _given(cfg.tol, 1e-14)
-    max_iter = _given(cfg.max_outer, DEFAULT_MAX_ITER)
-    columns = ["gamma", "L", "eps", "error", "bound", "outer_iterations"]
     rows = []
-    for gamma in gammas:
+    for gamma in cfg.gammas:
         f, L = scalar_map(ScalarMapSpec(gamma))
-        x_star = iterate_plain(f, 0.5, tol=tol).final
-        for eps in eps_values:
+        x_star = iterate_plain(f, 0.5, tol=cfg.tol).final
+        for eps in cfg.eps_values:
             schedule = PerturbationSchedule.constant(eps)
-            trace = iterate_perturbed(f, schedule, 0.5, tol=tol, max_iter=max_iter)
+            trace = iterate_perturbed(f, schedule, 0.5, tol=cfg.tol, max_iter=cfg.max_outer)
             err = float(abs(trace.final - x_star)[0])
             rows.append({
                 "gamma": gamma,
@@ -261,21 +260,16 @@ def _run_scalar_direct(cfg: ExperimentConfig) -> TableReport:
                 "bound": bound_direct(eps, L),
                 "outer_iterations": trace.steps,
             })
-    return TableReport("scalar-direct", columns, rows)
+    return TableReport("scalar-direct", rows)
 
 
 def _run_scalar_adaptive(cfg: ExperimentConfig) -> TableReport:
-    gammas = _given(cfg.gammas, [0.3, 1.145, 1.2])
-    ls_values = _given(cfg.ls_values, [0.9])
-    lf_values = _given(cfg.lf_values, [0.99])
+    ls_values, lf_values = cfg.ls_values, cfg.lf_values
     if len(ls_values) != len(lf_values):
         raise UsageError(f"scalar-adaptive pairs ls with lf, got {ls_values} and {lf_values}")
-    tol = _given(cfg.tol, 1e-15)
-    max_iter = _given(cfg.max_outer, DEFAULT_MAX_ITER)
-    c = cfg.adaptive_c
-    columns = ["problem", "L", "c", "error", "outer_iterations"]
+    tol, max_iter, c = cfg.tol, cfg.max_outer, cfg.adaptive_c
     rows = []
-    for gamma in gammas:
+    for gamma in cfg.gammas:
         f, L = scalar_map(ScalarMapSpec(gamma))
         x_star = iterate_plain(f, 0.5, tol=tol).final
         schedule = PerturbationSchedule.adaptive(c, L)
@@ -299,24 +293,19 @@ def _run_scalar_adaptive(cfg: ExperimentConfig) -> TableReport:
             "error": float(abs(trace.final - x_star)[0]),
             "outer_iterations": trace.steps,
         })
-    return TableReport("scalar-adaptive", columns, rows)
+    return TableReport("scalar-adaptive", rows)
 
 
 def _run_linear_nested(cfg: ExperimentConfig) -> TableReport:
-    alphas = _given(cfg.alphas, [0.1, 0.9, 0.99])
-    betas = _given(cfg.betas, [0.1, 0.9, 0.99])
-    eps_values = _given(cfg.eps_values, [1e-1, 1e-2, 1e-3])
-    tol = _given(cfg.tol, 1e-14)
-    max_iter = _given(cfg.max_outer, DEFAULT_MAX_ITER)
-    columns = ["eps", "alpha", "beta", "bound", "error", "outer_iterations"]
     rows = []
-    for eps in eps_values:
-        for alpha in alphas:
-            for beta in betas:
+    for eps in cfg.eps_values:
+        for alpha in cfg.alphas:
+            for beta in cfg.betas:
                 problem = linear_nested(alpha, beta)
                 schedule = PerturbationSchedule.constant(eps)
                 trace = iterate_nested(
-                    problem.S, problem.F, schedule, schedule, np.zeros(2), tol, max_iter
+                    problem.S, problem.F, schedule, schedule, np.zeros(2), cfg.tol,
+                    cfg.max_outer,
                 )
                 err = norm2(trace.final - problem.x_star)
                 rows.append({
@@ -327,29 +316,21 @@ def _run_linear_nested(cfg: ExperimentConfig) -> TableReport:
                     "error": err,
                     "outer_iterations": trace.steps,
                 })
-    return TableReport("linear-nested", columns, rows)
+    return TableReport("linear-nested", rows)
 
 
 def _run_scalar_nested(cfg: ExperimentConfig) -> TableReport:
-    ls_values = _given(cfg.ls_values, [0.1, 0.9, 0.99])
-    lf_values = _given(cfg.lf_values, [0.01, 0.1, 0.9, 0.99])
-    eps_values = _given(cfg.eps_values, [1e-1, 1e-2, 1e-3])
-    tol = _given(cfg.tol, 1e-14)
-    max_iter = _given(cfg.max_outer, DEFAULT_MAX_ITER)
-    columns = [
-        "eps", "L_S", "L_F", "global_estimate", "local_estimate", "error",
-        "outer_iterations",
-    ]
+    tol = cfg.tol
     rows = []
-    for eps in eps_values:
-        for L_S in ls_values:
-            for L_F in lf_values:
+    for eps in cfg.eps_values:
+        for L_S in cfg.ls_values:
+            for L_F in cfg.lf_values:
                 spec = NestedScalarSpec.from_lipschitz(L_S, L_F)
                 S, F, _, _ = nested_scalar(spec)
                 x_star = float(iterate_plain(lambda x: S(F(x)), 0.5, tol=tol).final[0])
                 dS, dF = nested_local_derivatives(spec, x_star)
                 schedule = PerturbationSchedule.constant(eps)
-                trace = iterate_nested(S, F, schedule, schedule, 0.5, tol, max_iter)
+                trace = iterate_nested(S, F, schedule, schedule, 0.5, tol, cfg.max_outer)
                 rows.append({
                     "eps": eps,
                     "L_S": L_S,
@@ -359,7 +340,7 @@ def _run_scalar_nested(cfg: ExperimentConfig) -> TableReport:
                     "error": float(abs(trace.final - x_star)[0]),
                     "outer_iterations": trace.steps,
                 })
-    return TableReport("scalar-nested", columns, rows)
+    return TableReport("scalar-nested", rows)
 
 
 _PICARD_DEFAULT_TAUS = {
@@ -371,20 +352,14 @@ _PICARD_DEFAULT_TAUS = {
 
 def _run_picard(cfg: ExperimentConfig) -> TableReport:
     spec = PicardProblemSpec(n=64, viscosity=1e-2)
-    tol = _given(cfg.tol, 1e-12)
     criteria = ["rel", "abs"] if cfg.criterion is None else [cfg.criterion]
-    columns = [
-        "criterion", "tau", "outer_iterations", "gmres_iterations", "residual",
-        "error", "exit",
-    ]
     rows = []
     exact = spec.exact_solution()
     for label in criteria:
-        taus = _given(cfg.taus, _PICARD_DEFAULT_TAUS[label])
+        taus = _PICARD_DEFAULT_TAUS[label] if cfg.taus is None else cfg.taus
         for tau in taus:
             trace = picard_iterate(
-                spec, make_criterion(label, tau), tol=tol,
-                max_iter=_given(cfg.max_outer, 500),
+                spec, _CRITERIA[label](tau), tol=cfg.tol, max_iter=cfg.max_outer
             )
             rows.append({
                 "criterion": label,
@@ -395,7 +370,7 @@ def _run_picard(cfg: ExperimentConfig) -> TableReport:
                 "error": norm2(trace.final - exact),
                 "exit": trace.terminated_by.value,
             })
-    report = TableReport("picard", columns, rows)
+    report = TableReport("picard", rows)
     report.provenance["qualitative"] = True
     report.provenance["note"] = (
         "substitute problem: 1D convection-diffusion with lagged upwind "
@@ -404,90 +379,96 @@ def _run_picard(cfg: ExperimentConfig) -> TableReport:
     return report
 
 
-def _transmission_runs(cfg, criteria_taus, dxs, tol, systems=None):
-    """Shared sweep driver: yields one row dict per (criterion, tau, dx)."""
-    systems = systems if systems is not None else {}
-    for dx in dxs:
-        if dx not in systems:
-            systems[dx] = transmission_assemble(dx)
-        sys_ = systems[dx]
-        for label, tau in criteria_taus:
-            trace = dn_iterate(
-                sys_, make_criterion(label, tau), tol=tol,
-                max_iter=_given(cfg.max_outer, DEFAULT_MAX_ITER),
-                inner_guess=cfg.inner_guess,
-            )
-            err_gamma, err_full = solution_errors(sys_, trace.state)
-            yield {
-                "criterion": label,
-                "tau": tau,
-                "dx": dx,
-                "outer_iterations": trace.steps,
-                "cg_iterations": trace.total_inner_iterations,
-                "interface_error": err_gamma,
-                "full_error": err_full,
-                "status": trace.terminated_by.value,
-            }
-
-
-_TRANSMISSION_DEFAULT_CRITERION = {"transmission-error": "abs", "transmission-iters": "rel"}
+def _transmission_runs(cfg, dx, sys_, criteria_taus, tol):
+    """Shared sweep driver: yields one row dict per (criterion, tau) on
+    ``sys_``, the system assembled for mesh width ``dx``."""
+    for label, tau in criteria_taus:
+        trace = dn_iterate(
+            sys_, _CRITERIA[label](tau), tol=tol, max_iter=cfg.max_outer,
+            inner_guess=cfg.inner_guess,
+        )
+        err_gamma, err_full = solution_errors(sys_, trace.state)
+        yield {
+            "criterion": label,
+            "tau": tau,
+            "dx": dx,
+            "outer_iterations": trace.steps,
+            "cg_iterations": trace.total_inner_iterations,
+            "interface_error": err_gamma,
+            "full_error": err_full,
+            "status": trace.terminated_by.value,
+        }
 
 
 def _run_transmission_sweep(cfg: ExperimentConfig) -> TableReport:
     """transmission-error and transmission-iters: the same (tau, dx) sweep,
     differing only in the default criterion."""
-    label = _given(cfg.criterion, _TRANSMISSION_DEFAULT_CRITERION[cfg.experiment])
-    taus = _given(cfg.taus, [1e-1, 1e-2, 1e-3, 1e-4])
-    dxs = _given(cfg.dxs, [0.1, 0.05])
-    tol = _given(cfg.tol, 1e-14)
-    columns = [
-        "criterion", "tau", "dx", "outer_iterations", "cg_iterations",
-        "interface_error", "full_error", "status",
-    ]
-    rows = list(_transmission_runs(cfg, [(label, t) for t in taus], dxs, tol))
-    return TableReport(cfg.experiment, columns, rows)
+    schemes = [(cfg.criterion, tau) for tau in cfg.taus]
+    rows = []
+    for dx in cfg.dxs:
+        rows += _transmission_runs(cfg, dx, transmission_assemble(dx), schemes, cfg.tol)
+    return TableReport(cfg.experiment, rows)
 
 
 def _run_transmission_efficiency(cfg: ExperimentConfig) -> TableReport:
     """Tolerance-sweep protocol: the initial-residual-relative scheme keeps
     tau_r = 1e-1 whatever the outer tolerance; the rhs-relative and absolute
     schemes must tighten their inner tolerance to the outer one."""
-    outer_tols = _given(cfg.outer_tols, [1e-1, 1e-2, 1e-3, 1e-4])
-    dxs = _given(cfg.dxs, [0.05])
-    if len(dxs) != 1:
-        raise UsageError(f"transmission-efficiency runs one dx, got {dxs}")
-    dx = dxs[0]
-    columns = [
-        "outer_tol", "criterion", "tau", "outer_iterations", "cg_iterations",
-        "interface_error", "full_error", "status",
-    ]
+    if len(cfg.dxs) != 1:
+        raise UsageError(f"transmission-efficiency runs one dx, got {cfg.dxs}")
+    (dx,) = cfg.dxs
+    sys_ = transmission_assemble(dx)
     rows = []
-    systems: dict = {}
-    for outer_tol in outer_tols:
+    for outer_tol in cfg.outer_tols:
         schemes = [("rel", 1e-1), ("relb", outer_tol), ("abs", outer_tol)]
-        for row in _transmission_runs(cfg, schemes, [dx], outer_tol, systems):
+        for row in _transmission_runs(cfg, dx, sys_, schemes, outer_tol):
             row = {"outer_tol": outer_tol, **row}
             del row["dx"]
             rows.append(row)
-    return TableReport("transmission-efficiency", columns, rows)
+    return TableReport("transmission-efficiency", rows)
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig], TableReport]] = {
-    "scalar-direct": _run_scalar_direct,
-    "scalar-adaptive": _run_scalar_adaptive,
-    "linear-nested": _run_linear_nested,
-    "scalar-nested": _run_scalar_nested,
-    "picard": _run_picard,
-    "transmission-error": _run_transmission_sweep,
-    "transmission-iters": _run_transmission_sweep,
-    "transmission-efficiency": _run_transmission_efficiency,
+# Each experiment: its runner and the config fields it reads, with the
+# defaults of its reference table. Picard's None defaults are resolved by its
+# runner: it sweeps both criteria, each over its own taus. Any field outside
+# an entry must keep its dataclass default.
+_DN_SWEEP = dict(
+    taus=[1e-1, 1e-2, 1e-3, 1e-4], dxs=[0.1, 0.05], tol=1e-14, max_outer=DEFAULT_MAX_ITER,
+    inner_guess="previous", export_fields=None,
+)
+_EXPERIMENTS = {
+    "scalar-direct": (_run_scalar_direct, dict(
+        gammas=[0.3, 1.145, 1.2], eps_values=[1e-1, 1e-2, 1e-3], tol=1e-14,
+        max_outer=DEFAULT_MAX_ITER,
+    )),
+    "scalar-adaptive": (_run_scalar_adaptive, dict(
+        gammas=[0.3, 1.145, 1.2], ls_values=[0.9], lf_values=[0.99], adaptive_c=1e-2,
+        tol=1e-15, max_outer=DEFAULT_MAX_ITER,
+    )),
+    "linear-nested": (_run_linear_nested, dict(
+        alphas=[0.1, 0.9, 0.99], betas=[0.1, 0.9, 0.99], eps_values=[1e-1, 1e-2, 1e-3],
+        tol=1e-14, max_outer=DEFAULT_MAX_ITER,
+    )),
+    "scalar-nested": (_run_scalar_nested, dict(
+        ls_values=[0.1, 0.9, 0.99], lf_values=[0.01, 0.1, 0.9, 0.99],
+        eps_values=[1e-1, 1e-2, 1e-3], tol=1e-14, max_outer=DEFAULT_MAX_ITER,
+    )),
+    "picard": (_run_picard, dict(criterion=None, taus=None, tol=1e-12, max_outer=500)),
+    "transmission-error": (_run_transmission_sweep, dict(criterion="abs", **_DN_SWEEP)),
+    "transmission-iters": (_run_transmission_sweep, dict(criterion="rel", **_DN_SWEEP)),
+    "transmission-efficiency": (_run_transmission_efficiency, dict(
+        outer_tols=[1e-1, 1e-2, 1e-3, 1e-4], dxs=[0.05], max_outer=DEFAULT_MAX_ITER,
+        inner_guess="previous", export_fields=None,
+    )),
 }
+EXPERIMENT_IDS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> TableReport:
-    """Dispatch a validated configuration to its experiment driver."""
-    cfg.validate()
-    report = _RUNNERS[cfg.experiment](cfg)
+    """Run the experiment on a validated copy of ``cfg`` with its defaults
+    filled in; the provenance echoes ``cfg`` as given."""
+    filled = cfg.with_defaults()
+    report = _EXPERIMENTS[cfg.experiment][0](filled)
     report.provenance.setdefault("experiment", cfg.experiment)
     report.provenance.setdefault("version", __version__)
     report.provenance.setdefault("config", _echo_config(cfg))

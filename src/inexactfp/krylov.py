@@ -147,14 +147,45 @@ def _as_apply(op):
     return lambda v: np.asarray(op @ v, dtype=float)
 
 
-def _effective_criterion(criterion: TerminationCriterion, rhs_norm: float):
-    """Swap in the absolute fallback when the rhs-relative rule degenerates."""
-    if (
-        criterion.kind is CriterionKind.RELATIVE_TO_RHS
-        and rhs_norm < DEGENERATE_RHS_NORM
-    ):
-        return absolute(_DEGENERATE_FALLBACK_TOL), True
-    return criterion, False
+def _start(op, b, x0, criterion: TerminationCriterion):
+    """Set-up shared by both solvers. The threshold falls back to an absolute
+    1e-14 when the rhs-relative rule meets a numerically zero rhs. ``report``
+    takes ``x``, which GMRES rebinds; ``done`` is the report to return before
+    any iteration, or None."""
+    apply_op = _as_apply(op)
+    b = np.asarray(b, dtype=float)
+    x = np.array(x0, dtype=float)
+    rhs_norm = norm2(b)
+    degenerate = (
+        criterion.kind is CriterionKind.RELATIVE_TO_RHS and rhs_norm < DEGENERATE_RHS_NORM
+    )
+    r = b - apply_op(x)
+    r0_norm = norm2(r)
+    history = [r0_norm]
+    threshold = (
+        _DEGENERATE_FALLBACK_TOL if degenerate else criterion.threshold(r0_norm, rhs_norm)
+    )
+
+    def report(x, converged, iterations, final, breakdown=None):
+        return SolveReport(
+            solution=x,
+            iterations=iterations,
+            initial_residual_norm=r0_norm,
+            final_residual_norm=final,
+            rhs_norm=rhs_norm,
+            criterion=criterion,
+            converged=converged,
+            breakdown=breakdown,
+            residual_history=history,
+            rhs_degenerate=degenerate,
+        )
+
+    done = None
+    if not math.isfinite(r0_norm):  # inf <= tau * inf would pass the test below
+        done = report(x, False, 0, r0_norm, "indefinite or non-finite")
+    elif r0_norm <= threshold:
+        done = report(x, True, 0, r0_norm)
+    return apply_op, b, x, r, history, threshold, report, done
 
 
 def _drift_exit(true_res: float, threshold: float, restart_res: float):
@@ -185,46 +216,20 @@ def cg_solve(
     on the true residual before the first. SPD-ness is the caller's
     responsibility; an indefinite operator surfaces as a breakdown report.
     """
-    apply_op = _as_apply(op)
-    b = np.asarray(b, dtype=float)
-    x = np.array(x0, dtype=float)
-    rhs_norm = norm2(b)
-    crit, degenerate = _effective_criterion(criterion, rhs_norm)
-
-    r = b - apply_op(x)
-    r0_norm = norm2(r)
-    history = [r0_norm]
-    threshold = crit.threshold(r0_norm, rhs_norm)
-
-    def report(converged, iterations, final, breakdown=None):
-        return SolveReport(
-            solution=x,
-            iterations=iterations,
-            initial_residual_norm=r0_norm,
-            final_residual_norm=final,
-            rhs_norm=rhs_norm,
-            criterion=criterion,
-            converged=converged,
-            breakdown=breakdown,
-            residual_history=history,
-            rhs_degenerate=degenerate,
-        )
-
-    if not math.isfinite(r0_norm):  # inf <= tau * inf would pass the test below
-        return report(False, 0, r0_norm, "indefinite or non-finite")
-    if r0_norm <= threshold:
-        return report(True, 0, r0_norm)
+    apply_op, b, x, r, history, threshold, report, done = _start(op, b, x0, criterion)
+    if done is not None:
+        return done
 
     p = r.copy()
     tmp = np.empty_like(p)
     rs = float(r @ r)
-    restart_res = r0_norm
+    restart_res = history[0]
     it = 0
     while it < max_iter:
         Ap = apply_op(p)
         pAp = float(p @ Ap)
         if not math.isfinite(pAp) or pAp <= 0.0:
-            return report(False, it, norm2(b - apply_op(x)), "indefinite or non-finite")
+            return report(x, False, it, norm2(b - apply_op(x)), "indefinite or non-finite")
         alpha = rs / pAp
         # x, r and p are updated in place through one work vector: the
         # same IEEE operations as x + alpha * p etc., without temporaries.
@@ -238,13 +243,13 @@ def cg_solve(
         res = math.sqrt(rs_new)
         history.append(res)
         if not math.isfinite(res):
-            return report(False, it, res, "indefinite or non-finite")
+            return report(x, False, it, res, "indefinite or non-finite")
         if res <= threshold:
             r = b - apply_op(x)
             true_res = norm2(r)
             verdict = _drift_exit(true_res, threshold, restart_res)
             if verdict is not None:
-                return report(verdict[0], it, true_res, verdict[1])
+                return report(x, verdict[0], it, true_res, verdict[1])
             # recurrence drifted: restart the recursion from the true residual
             restart_res = true_res
             p = r.copy()
@@ -253,7 +258,7 @@ def cg_solve(
         p *= rs_new / rs
         p += r
         rs = rs_new
-    return report(False, it, norm2(b - apply_op(x)), "iteration cap")
+    return report(x, False, it, norm2(b - apply_op(x)), "iteration cap")
 
 
 def gmres_solve(
@@ -272,38 +277,11 @@ def gmres_solve(
     exact solution in exact arithmetic; in float64 the true residual still
     decides whether the solve converged.
     """
-    apply_op = _as_apply(op)
-    b = np.asarray(b, dtype=float)
-    x = np.array(x0, dtype=float)
+    apply_op, b, x, r, history, threshold, report, done = _start(op, b, x0, criterion)
+    if done is not None:
+        return done
     n = b.shape[0]
-    rhs_norm = norm2(b)
-    crit, degenerate = _effective_criterion(criterion, rhs_norm)
-
-    r = b - apply_op(x)
-    r0_norm = norm2(r)
-    history = [r0_norm]
-    threshold = crit.threshold(r0_norm, rhs_norm)
-
-    def report(converged, iterations, final, breakdown=None):
-        return SolveReport(
-            solution=x,
-            iterations=iterations,
-            initial_residual_norm=r0_norm,
-            final_residual_norm=final,
-            rhs_norm=rhs_norm,
-            criterion=criterion,
-            converged=converged,
-            breakdown=breakdown,
-            residual_history=history,
-            rhs_degenerate=degenerate,
-        )
-
-    if not math.isfinite(r0_norm):  # inf <= tau * inf would pass the test below
-        return report(False, 0, r0_norm, "indefinite or non-finite")
-    if r0_norm <= threshold:
-        return report(True, 0, r0_norm)
-
-    restart_res = r0_norm
+    r0_norm = restart_res = history[0]
     total_it = 0
     while total_it < max_iter:
         cycle = min(n, max_iter - total_it)
@@ -352,7 +330,7 @@ def gmres_solve(
             res = abs(g[j_used])
             history.append(res)
             if not math.isfinite(res):
-                return report(False, total_it, res, "indefinite or non-finite")
+                return report(x, False, total_it, res, "indefinite or non-finite")
             satisfied = res <= threshold
             if satisfied or happy:
                 break
@@ -366,10 +344,10 @@ def gmres_solve(
         if satisfied:
             verdict = _drift_exit(true_res, threshold, 0.0 if exhausted else restart_res)
             if verdict is not None:
-                return report(verdict[0], total_it, true_res, verdict[1])
+                return report(x, verdict[0], total_it, true_res, verdict[1])
         elif exhausted:
             if true_res <= threshold:
-                return report(True, total_it, true_res)
-            return report(False, total_it, true_res, "attainable accuracy")
+                return report(x, True, total_it, true_res)
+            return report(x, False, total_it, true_res, "attainable accuracy")
         restart_res = true_res  # restart from the true residual
-    return report(False, total_it, norm2(b - apply_op(x)), "iteration cap")
+    return report(x, False, total_it, norm2(b - apply_op(x)), "iteration cap")

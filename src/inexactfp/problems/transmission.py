@@ -31,6 +31,7 @@ the relative-to-previous-iterate rule of the convergence theory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -164,6 +165,16 @@ def _laplacian(rows: int, cols: int) -> sp.csr_matrix:
     return L
 
 
+def mesh_cells(dx: float) -> int:
+    """The cells per unit length n of a mesh width dx = 1/n, n >= 2;
+    ValueError for any other nonzero dx."""
+    inverse = 1.0 / dx
+    n = round(inverse) if math.isfinite(inverse) else 0
+    if n < 2 or abs(n * dx - 1.0) > 1e-12:
+        raise ValueError(f"1/dx must be a positive integer >= 2, got dx={dx}")
+    return n
+
+
 def transmission_assemble(
     dx: float, forcing: Callable | None = None
 ) -> TransmissionSystem:
@@ -173,9 +184,7 @@ def transmission_assemble(
     points (the interior nodes plus the interface at x = 1); it returns an
     array of their shape or a scalar, which broadcasts to every point.
     """
-    n = round(1.0 / dx)
-    if n < 2 or abs(n * dx - 1.0) > 1e-12:
-        raise ValueError(f"1/dx must be a positive integer >= 2, got dx={dx}")
+    n = mesh_cells(dx)
     f = forcing if forcing is not None else default_forcing
     h = 1.0 / n
     m = n - 1

@@ -51,15 +51,15 @@ def test_scalar_experiments_honour_max_outer(experiment, grid):
 
 
 def test_emit_empty_grid_header_only():
-    report = TableReport("scalar-direct", ["a", "b"], [])
-    assert emit(report, "csv") == b"a,b\n"
+    # rows name the columns, so a report without rows has an empty header
+    report = TableReport("scalar-direct", [])
+    assert report.columns == []
+    assert emit(report, "csv") == b"\n"
 
 
 def test_emit_csv_round_trip_4_significant_digits():
     report = TableReport(
-        "scalar-direct",
-        ["gamma", "error", "outer_iterations"],
-        [{"gamma": 0.3, "error": 1.089123e-2, "outer_iterations": 17}],
+        "scalar-direct", [{"gamma": 0.3, "error": 1.089123e-2, "outer_iterations": 17}]
     )
     text = emit(report, "csv").decode("utf-8")
     assert text.endswith("\n") and "\r" not in text
@@ -108,6 +108,41 @@ def test_rows_hold_exactly_the_columns(experiment):
         assert list(row) == report.columns
     header = emit(report, "csv").decode("utf-8").splitlines()[0]
     assert header == ",".join(report.columns)
+
+
+UNREAD_FIELDS = {
+    "scalar-direct": dict(taus=[1e-3]),
+    "scalar-adaptive": dict(criterion="abs"),
+    "linear-nested": dict(dxs=[0.1]),
+    "scalar-nested": dict(inner_guess="zero"),
+    "picard": dict(dxs=[0.1]),
+    "transmission-error": dict(outer_tols=[1e-2]),
+    "transmission-iters": dict(adaptive_c=0.5),
+    "transmission-efficiency": dict(tol=1e-8),
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
+def test_unread_field_is_usage_error(experiment):
+    (name,) = UNREAD_FIELDS[experiment]
+    cfg = ExperimentConfig(experiment=experiment, **UNREAD_FIELDS[experiment])
+    with pytest.raises(UsageError, match=f"{experiment} does not read {name}"):
+        run_experiment(cfg)
+
+
+def test_unread_field_at_its_default_is_accepted():
+    plain = small_config()
+    spelled_out = small_config(adaptive_c=1e-2, inner_guess="previous")
+    assert emit(run_experiment(spelled_out), "md") == emit(run_experiment(plain), "md")
+
+
+def test_provenance_echoes_the_config_as_given():
+    # the runner reads a copy with the defaults filled in; the echo does not
+    report = run_experiment(small_config())
+    assert report.provenance["config"] == (
+        "experiment=scalar-direct gammas=[0.3] eps_values=[0.01] adaptive_c=0.01 "
+        "inner_guess=previous out_format=csv"
+    )
 
 
 def test_inner_guess_zero_stalls_where_previous_converges():
@@ -215,10 +250,17 @@ def test_cli_config_file_with_flag_override(tmp_path):
     (["--experiment", "transmission-efficiency", "--dx", "0.1,0.05"], None),
     (["--experiment", "transmission-efficiency", "--dx", "0.1,0.05",
       "--export-fields", "p"], None),
+    (["--experiment", "transmission-error", "--dx", "0.3"], None),
+    (["--experiment", "transmission-error", "--dx", "0.1,0.3"], None),
+    (["--experiment", "scalar-direct", "--tau", "1e-3", "--criterion", "abs"], None),
+    (["--experiment", "transmission-efficiency", "--criterion", "abs", "--tau", "1e-5"], None),
+    (["--experiment", "scalar-direct", "--inner-guess", "zero"], None),
 ], ids=["eps-abc", "dx-1/0", "config-tol-oops", "config-missing", "tol-nan", "dx-nan",
         "max-outer-0", "max-outer-neg", "tau-empty", "export-fields-scalar",
         "ls-lf-lengths", "ls-lf-default-length", "efficiency-two-dx",
-        "efficiency-two-dx-export"])
+        "efficiency-two-dx-export", "dx-not-1/n", "dx-not-1/n-after-valid",
+        "scalar-direct-tau-criterion", "efficiency-criterion-tau",
+        "scalar-direct-inner-guess-zero"])
 def test_cli_malformed_number_is_usage_error(argv, config_text, tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"  # written only when the case has a file
     if config_text is not None:
@@ -248,3 +290,15 @@ def test_cli_export_fields(tmp_path):
     discrete = (tmp_path / "field_discrete.csv").read_text().splitlines()
     assert exact[0] == "x,y,value"
     assert len(exact) == len(discrete) == 1 + 11 * 6  # (2n+1)(n+1) grid, n=5
+
+
+def test_cli_export_fields_default_dx(tmp_path, monkeypatch):
+    # no --dx: the export grid is transmission-efficiency's default 1/20
+    monkeypatch.chdir(tmp_path)
+    code = main([
+        "--experiment", "transmission-efficiency", "--outer-tols", "1e-1",
+        "--out", "r.csv", "--export-fields", "p",
+    ])
+    assert code == 0
+    for which in ("exact", "discrete"):
+        assert len((tmp_path / f"p{which}.csv").read_text().splitlines()) == 1 + 41 * 21

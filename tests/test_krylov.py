@@ -25,6 +25,9 @@ def laplacian_1d(n):
     ).tocsr()
 
 
+SOLVERS = [cg_solve, gmres_solve]
+
+
 # ---------------------------------------------------------------------------
 # criterion algebra
 # ---------------------------------------------------------------------------
@@ -145,11 +148,12 @@ def test_cg_identity_single_iteration():
     assert_allclose(rep.solution, b, rtol=1e-12)
 
 
-def test_cg_leaves_inputs_unmodified():
+@pytest.mark.parametrize("solver", SOLVERS, ids=["cg", "gmres"])
+def test_leaves_inputs_unmodified(solver):
     A = laplacian_1d(12)
     b, x0 = np.linspace(-1.0, 2.0, 12), np.full(12, 0.5)
     b_before, x0_before = b.copy(), x0.copy()
-    rep = cg_solve(A, b, x0, absolute(1e-10))
+    rep = solver(A, b, x0, absolute(1e-10))
     assert rep.converged and rep.iterations > 1
     assert_bitwise(b, b_before)
     assert_bitwise(x0, x0_before)
@@ -221,9 +225,12 @@ def test_cg_oracle_agreement_random_spd():
         assert norm2(rep.solution - x_ref) <= 1e-8 * max(norm2(x_ref), 1.0)
 
 
-def test_cg_degenerate_rhs_flagged():
+@pytest.mark.parametrize("solver", SOLVERS, ids=["cg", "gmres"])
+def test_degenerate_rhs_flagged(solver):
+    # a zero rhs makes the rhs-relative threshold zero: both solvers fall
+    # back to an absolute 1e-14 through their shared set-up
     A = laplacian_1d(6)
-    rep = cg_solve(A, np.zeros(6), np.ones(6), relative_to_rhs(0.1), max_iter=100)
+    rep = solver(A, np.zeros(6), np.ones(6), relative_to_rhs(0.1), max_iter=100)
     assert rep.rhs_degenerate
     assert rep.converged
     assert norm2(rep.solution) <= 1e-10
@@ -287,9 +294,6 @@ def test_gmres_max_iter_reports_not_converged():
 # ---------------------------------------------------------------------------
 # attainable accuracy: thresholds below the float64 residual floor
 # ---------------------------------------------------------------------------
-
-SOLVERS = [cg_solve, gmres_solve]
-
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=["cg", "gmres"])
 @pytest.mark.parametrize("n", [20, 50, 100])
