@@ -17,6 +17,7 @@ from .experiments import (
     CRITERION_LABELS,
     EXPERIMENT_IDS,
     ExperimentConfig,
+    UnreadFieldError,
     UsageError,
     emit,
     export_field_csvs,
@@ -77,6 +78,7 @@ _KEYS = (
          "also write exact/discrete field CSV grids (transmission)", metavar="PREFIX"),
 )
 _KEYS_BY_FLAG = {key.flag: key for key in _KEYS}
+_FLAG = {key.field: f"--{key.flag}" for key in _KEYS}
 
 
 def _parse_value(key: _Key, text: str, where: str):
@@ -159,18 +161,24 @@ def main(argv=None) -> int:
         if args.run_acceptance:
             return _run_acceptance_command(args)
         cfg = _merge_config(args)
-        report = run_experiment(cfg)
-        payload = emit(report, cfg.out_format)
-        if cfg.out_path:
-            Path(cfg.out_path).write_bytes(payload)
-        else:
+        payload = emit(run_experiment(cfg), cfg.out_format)
+        paths = []
+        try:  # the field files first, so that a failed export leaves stdout empty
+            if cfg.export_fields:
+                paths = export_field_csvs(min(cfg.with_defaults().dxs), cfg.export_fields)
+            if cfg.out_path:
+                Path(cfg.out_path).write_bytes(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from None
+        if not cfg.out_path:
             sys.stdout.write(payload.decode("utf-8"))
-        if cfg.export_fields:
-            dx = min(cfg.with_defaults().dxs)
-            for path in export_field_csvs(dx, cfg.export_fields):
-                print(f"wrote {path}", file=sys.stderr)
+        for path in paths:
+            print(f"wrote {path}", file=sys.stderr)
         return 0
     except UsageError as exc:
+        if isinstance(exc, UnreadFieldError):  # in the names the user typed
+            experiment, name, reads = exc.args
+            exc = UnreadFieldError(experiment, _FLAG[name], [_FLAG[r] for r in reads])
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

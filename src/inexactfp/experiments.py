@@ -10,6 +10,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field, fields, replace
 
@@ -33,7 +34,7 @@ from .problems import (
     PicardProblemSpec,
     ScalarMapSpec,
     dn_iterate,
-    field_rows,
+    field_grids,
     linear_nested,
     nested_local_derivatives,
     nested_scalar,
@@ -50,6 +51,14 @@ CRITERION_LABELS = tuple(_CRITERIA)
 
 class UsageError(ValueError):
     """Invalid experiment configuration."""
+
+
+class UnreadFieldError(UsageError):
+    """A field set that the experiment does not read (args: experiment, field, fields read)."""
+
+    def __str__(self) -> str:
+        experiment, name, reads = self.args
+        return f"{experiment} does not read {name}; it reads {', '.join(reads)}"
 
 
 _READ_BY_ALL = ("experiment", "out_format", "out_path")
@@ -97,9 +106,7 @@ class ExperimentConfig:
             if f.name not in reads and f.name not in _READ_BY_ALL and (
                 getattr(self, f.name) != f.default
             ):
-                raise UsageError(
-                    f"{self.experiment} does not read {f.name}; it reads {', '.join(reads)}"
-                )
+                raise UnreadFieldError(self.experiment, f.name, reads)
         if self.criterion is not None and self.criterion not in CRITERION_LABELS:
             raise UsageError(
                 f"unknown criterion {self.criterion!r}; expected one of {CRITERION_LABELS}"
@@ -135,12 +142,24 @@ class ExperimentConfig:
                 raise UsageError(str(exc)) from None
 
     def with_defaults(self) -> ExperimentConfig:
-        """A validated copy with every unset field the experiment reads
-        set to its reference-table default."""
+        """A validated copy with every unset field the experiment reads set to
+        its reference-table default, each grid point a contraction: L < 1, and
+        L > 0 for scalar-adaptive, whose schedule c L^k must decay."""
         self.validate()
         reads = _EXPERIMENTS[self.experiment][1]
         unset = {name: reads[name] for name in reads if getattr(self, name) is None}
-        return replace(self, **copy.deepcopy(unset))
+        cfg = replace(self, **copy.deepcopy(unset))
+        ls, lf = cfg.ls_values or [], cfg.lf_values or []
+        adaptive = cfg.experiment == "scalar-adaptive"  # pairs ls with lf
+        if adaptive and len(ls) != len(lf):
+            raise UsageError(f"scalar-adaptive pairs ls with lf, got {ls} and {lf}")
+        pairs = itertools.chain(zip(ls, lf) if adaptive else itertools.product(ls, lf),
+                                itertools.product(cfg.alphas or [], cfg.betas or []))
+        points = [(f"gamma={g}", ScalarMapSpec(g).lipschitz) for g in cfg.gammas or []]
+        for point, L in points + [(f"{a}*{b}", a * b) for a, b in pairs]:
+            if not L < 1.0 or (adaptive and L == 0.0):
+                raise UsageError(f"{cfg.experiment}: {point} gives L={L:.6g}, not in (0, 1)")
+        return cfg
 
 
 @dataclass
@@ -156,8 +175,6 @@ class TableReport:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.3e}"
     return str(value)
@@ -264,9 +281,6 @@ def _run_scalar_direct(cfg: ExperimentConfig) -> TableReport:
 
 
 def _run_scalar_adaptive(cfg: ExperimentConfig) -> TableReport:
-    ls_values, lf_values = cfg.ls_values, cfg.lf_values
-    if len(ls_values) != len(lf_values):
-        raise UsageError(f"scalar-adaptive pairs ls with lf, got {ls_values} and {lf_values}")
     tol, max_iter, c = cfg.tol, cfg.max_outer, cfg.adaptive_c
     rows = []
     for gamma in cfg.gammas:
@@ -281,7 +295,7 @@ def _run_scalar_adaptive(cfg: ExperimentConfig) -> TableReport:
             "error": float(abs(trace.final - x_star)[0]),
             "outer_iterations": trace.steps,
         })
-    for L_S, L_F in zip(ls_values, lf_values):
+    for L_S, L_F in zip(cfg.ls_values, cfg.lf_values):
         S, F, _, _ = nested_scalar(NestedScalarSpec.from_lipschitz(L_S, L_F))
         x_star = iterate_plain(lambda x: S(F(x)), 0.5, tol=tol).final
         schedule = PerturbationSchedule.adaptive(c, L_S * L_F)
@@ -485,13 +499,13 @@ def _echo_config(cfg: ExperimentConfig) -> str:
 
 def export_field_csvs(dx: float, prefix: str) -> list[str]:
     """Write (x, y, value) CSV grids of the exact and discrete fields."""
-    sys_ = transmission_assemble(dx)
+    x, y, exact, discrete = field_grids(transmission_assemble(dx))
     paths = []
-    for which in ("exact", "discrete"):
+    for which, values in (("exact", exact), ("discrete", discrete)):
         path = f"{prefix}{which}.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x,y,value\n")
-            for x, y, v in field_rows(sys_, which):
-                fh.write(f"{x:.6g},{y:.6g},{v:.6e}\n")
+            for xv, yv, v in zip(x.ravel().tolist(), y.ravel().tolist(), values.ravel().tolist()):
+                fh.write(f"{xv:.6g},{yv:.6g},{v:.6e}\n")
         paths.append(path)
     return paths

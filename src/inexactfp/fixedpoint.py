@@ -61,7 +61,6 @@ class FixedPointTrace:
     increments: list[float]
     inner_reports: list[list[SolveReport]]
     terminated_by: Termination
-    outer_tol: float
     residuals: list[float] | None = None
     state: object | None = None
 
@@ -159,7 +158,7 @@ def _drive(step, x0, tol: float, max_iter: int, exit_test=None) -> FixedPointTra
         if verdict is not None:
             terminated = verdict
             break
-    return FixedPointTrace(iterates, increments, inner_reports, terminated, tol)
+    return FixedPointTrace(iterates, increments, inner_reports, terminated)
 
 
 def iterate_plain(

@@ -18,11 +18,10 @@ from .scalar import (
 from .transmission import (
     DnState,
     TransmissionSystem,
-    default_forcing,
     dn_iterate,
     dn_step,
     exact_solution,
-    field_rows,
+    field_grids,
     solution_errors,
     transmission_assemble,
 )
@@ -34,11 +33,10 @@ __all__ = [
     "PicardProblemSpec",
     "ScalarMapSpec",
     "TransmissionSystem",
-    "default_forcing",
     "dn_iterate",
     "dn_step",
     "exact_solution",
-    "field_rows",
+    "field_grids",
     "linear_nested",
     "nested_local_derivatives",
     "nested_scalar",

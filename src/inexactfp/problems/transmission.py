@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,8 +49,6 @@ def exact_solution(x, y):
 
 def default_forcing(x, y):
     """Right-hand side of Delta u = f manufactured for ``exact_solution``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     sy = np.sin(np.pi * y**2)
     sx = np.sin(0.5 * np.pi * x**2)
     return sy * (np.pi * np.cos(0.5 * np.pi * x**2) - np.pi**2 * x**2 * sx) + sx * (
@@ -86,7 +83,6 @@ class TransmissionSystem:
     monolithic_rhs: np.ndarray
     f_omega1: np.ndarray  # forcing samples on Omega1 interior, A-ordering
     f_block2: np.ndarray  # forcing samples on Gamma + Omega2 interior, B-ordering
-    manufactured: bool  # True when the forcing matches exact_solution
     _monolithic_solution: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -143,12 +139,8 @@ class TransmissionSystem:
 
     def discretization_max_error(self) -> float:
         """Max-norm error of the monolithic solution against the exact field."""
-        if not self.manufactured:
-            raise ValueError("no closed-form solution for a custom forcing")
-        n = self.n_cells
-        y, x = np.mgrid[1:n, 1 : 2 * n] * self.dx
-        u = self.grid(self.monolithic_solution())
-        return float(np.abs(u - exact_solution(x, y)).max())
+        _, _, exact, discrete = field_grids(self)
+        return float(np.abs(discrete - exact).max())
 
 
 def _laplacian(rows: int, cols: int) -> sp.csr_matrix:
@@ -175,17 +167,9 @@ def mesh_cells(dx: float) -> int:
     return n
 
 
-def transmission_assemble(
-    dx: float, forcing: Callable | None = None
-) -> TransmissionSystem:
-    """Assemble all operators for mesh width ``dx`` (1/dx must be an integer).
-
-    ``forcing(x, y)`` is called once, with x and y arrays of the sample
-    points (the interior nodes plus the interface at x = 1); it returns an
-    array of their shape or a scalar, which broadcasts to every point.
-    """
+def transmission_assemble(dx: float) -> TransmissionSystem:
+    """Assemble all operators for mesh width ``dx`` (1/dx must be an integer)."""
     n = mesh_cells(dx)
-    f = forcing if forcing is not None else default_forcing
     h = 1.0 / n
     m = n - 1
     ih2 = 1.0 / h**2
@@ -194,8 +178,7 @@ def transmission_assemble(
     # exactly for the interface rows of B (n * h can miss 1 by an ulp)
     y, x = np.mgrid[1:n, 1 : 2 * n + 1] * h
     x[:, -1] = 1.0
-    fs = np.empty(x.shape)
-    fs[...] = f(x, y)
+    fs = default_forcing(x, y)
 
     A = (ih2 * _laplacian(m, m)).todia()
     # interface rows keep the full five-point stencil: a tridiagonal block
@@ -215,7 +198,6 @@ def transmission_assemble(
         monolithic_rhs=-fs[:, :-1].ravel(),
         f_omega1=fs[:, :m].ravel(),
         f_block2=np.concatenate([fs[:, -1], fs[:, n:-1].ravel()]),
-        manufactured=forcing is None,
     )
 
 
@@ -312,21 +294,12 @@ def solution_errors(sys: TransmissionSystem, state: DnState) -> tuple[float, flo
     return err_gamma, norm2(full - u_mono)
 
 
-def field_rows(sys: TransmissionSystem, which: str):
-    """(x, y, value) triples on the closed grid for CSV export.
-
-    ``which`` is "exact" for the closed-form field or "discrete" for the
-    monolithic finite difference solution; boundary points carry zeros.
-    """
+def field_grids(sys: TransmissionSystem):
+    """(x, y, exact, discrete) arrays on the closed grid, rows j = 0 .. n:
+    the closed-form field and the monolithic finite difference solution,
+    which carries zeros on the boundary."""
     n = sys.n_cells
     y, x = np.mgrid[0 : n + 1, 0 : 2 * n + 1] * sys.dx
-    if which == "exact":
-        if not sys.manufactured:
-            raise ValueError("no closed-form solution for a custom forcing")
-        values = exact_solution(x, y)
-    elif which == "discrete":
-        values = np.zeros(x.shape)
-        values[1:n, 1 : 2 * n] = sys.grid(sys.monolithic_solution())
-    else:
-        raise ValueError(f"unknown field {which!r}; expected 'exact' or 'discrete'")
-    yield from zip(x.ravel().tolist(), y.ravel().tolist(), values.ravel().tolist())
+    discrete = np.zeros(x.shape)
+    discrete[1:n, 1 : 2 * n] = sys.grid(sys.monolithic_solution())
+    return x, y, exact_solution(x, y), discrete

@@ -1,15 +1,19 @@
 import csv
+import hashlib
 import io
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from inexactfp.cli import main, read_config_file
+from inexactfp.cli import _KEYS, main, read_config_file
 from inexactfp.experiments import (
     EXPERIMENT_IDS,
     ExperimentConfig,
     TableReport,
     UsageError,
     emit,
+    export_field_csvs,
     run_experiment,
 )
 
@@ -128,6 +132,36 @@ def test_unread_field_is_usage_error(experiment):
     cfg = ExperimentConfig(experiment=experiment, **UNREAD_FIELDS[experiment])
     with pytest.raises(UsageError, match=f"{experiment} does not read {name}"):
         run_experiment(cfg)
+
+
+def test_cli_unread_field_error_names_the_flags(capsys):
+    assert main(["--experiment", "scalar-direct", "--tau", "1e-3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: scalar-direct does not read --tau; "
+        "it reads --gammas, --eps, --tol, --max-outer\n"
+    )
+    # every field the message can name has a flag
+    assert {f.name for f in fields(ExperimentConfig)} == {key.field for key in _KEYS}
+
+
+@pytest.mark.parametrize("argv", [
+    ["scalar-direct", "--gammas", "1.3"],
+    ["scalar-adaptive", "--gammas", "2"],
+    ["scalar-adaptive", "--ls", "0", "--lf", "0.9"],
+    ["linear-nested", "--alphas", "2", "--betas", "0.9"],
+    ["scalar-nested", "--ls", "2", "--lf", "0.9"],
+], ids=["direct-gamma", "adaptive-gamma", "adaptive-zero-product", "linear-alpha-beta",
+        "nested-ls-lf"])
+def test_cli_grid_outside_contraction_is_usage_error(argv, capsys):
+    assert main(["--experiment", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected before any sweep runs
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_reference_grids_are_inside_contraction():
+    for experiment in EXPERIMENT_IDS:
+        ExperimentConfig(experiment=experiment).with_defaults()
 
 
 def test_unread_field_at_its_default_is_accepted():
@@ -302,3 +336,26 @@ def test_cli_export_fields_default_dx(tmp_path, monkeypatch):
     assert code == 0
     for which in ("exact", "discrete"):
         assert len((tmp_path / f"p{which}.csv").read_text().splitlines()) == 1 + 41 * 21
+
+
+@pytest.mark.parametrize("flag, written", [("--out", ""), ("--export-fields", "exact.csv")],
+                         ids=["out", "export-fields"])
+def test_cli_unwritable_output_is_usage_error(flag, written, tmp_path, capsys):
+    target = str(tmp_path / "missing" / "r_")
+    code = main([
+        "--experiment", "transmission-error", "--criterion", "abs", "--tau", "1e-1",
+        "--dx", "1/5", flag, target,
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}{written}: No such file or directory\n"
+
+
+def test_export_field_csvs_bytes_pinned(tmp_path):
+    paths = export_field_csvs(1 / 5, str(tmp_path / "p_"))
+    assert [Path(p).name for p in paths] == ["p_exact.csv", "p_discrete.csv"]
+    assert [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths] == [
+        "32d26a842e5d5f80e593f1e77d290b3fb7cfe9c3620514b5b1ebe98d22313cf9",
+        "49b84496422e4ebc0d1c2e4a54c791d70078050b12a1ba529179cad8cce876e7",
+    ]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,14 +10,14 @@ from inexactfp.krylov import _as_apply, absolute, cg_solve, relative_to_initial
 from inexactfp.linalg import norm2, solve_direct
 from inexactfp.problems import (
     DnState,
-    default_forcing,
     dn_iterate,
     dn_step,
     exact_solution,
-    field_rows,
+    field_grids,
     solution_errors,
     transmission_assemble,
 )
+from inexactfp.problems.transmission import default_forcing
 
 
 def spd_spot_check(matrix: sp.csr_matrix, probes: int = 3) -> bool:
@@ -133,8 +135,10 @@ def test_dn_step_fixed_point_property(sys10):
     assert rep1.converged and rep2.converged
 
 
-def test_dn_step_zero_forcing_zero_fixed_point():
-    sys0 = transmission_assemble(0.1, forcing=lambda x, y: 0.0)
+def test_dn_step_zero_forcing_zero_fixed_point(sys10):
+    sys0 = dataclasses.replace(
+        sys10, f_omega1=np.zeros(sys10.n1), f_block2=np.zeros(sys10.n2)
+    )
     state = DnState.zeros(sys0)
     new_state, (rep1, rep2) = dn_step(sys0, state, absolute(1e-13))
     assert norm2(new_state.u_gamma) == 0.0
@@ -186,19 +190,19 @@ def test_second_order_convergence():
     assert errors[0] <= 2.5e-2  # sanity band at dx = 1/10
 
 
-def test_field_rows_cover_grid_with_boundary(sys10):
-    rows = list(field_rows(sys10, "exact"))
+def test_field_grids_cover_grid_with_boundary(sys10):
+    x, y, exact, discrete = field_grids(sys10)
     n = sys10.n_cells
-    assert len(rows) == (2 * n + 1) * (n + 1)
-    values = {(round(x, 10), round(y, 10)): v for x, y, v in rows}
-    assert values[(0.0, 0.0)] == 0.0
-    assert values[(1.0, 0.5)] == pytest.approx(0.70710678, abs=1e-8)
-    discrete = dict(
-        ((round(x, 10), round(y, 10)), v) for x, y, v in field_rows(sys10, "discrete")
-    )
-    assert discrete[(2.0, 1.0)] == 0.0
+    assert x.shape == y.shape == exact.shape == discrete.shape == (n + 1, 2 * n + 1)
+    assert (x[0, 0], y[0, 0]) == (0.0, 0.0) and exact[0, 0] == 0.0
+    assert (x[n // 2, n], y[n // 2, n]) == pytest.approx((1.0, 0.5))
+    assert exact[n // 2, n] == pytest.approx(0.70710678, abs=1e-8)
+    assert (x[n, 2 * n], y[n, 2 * n]) == pytest.approx((2.0, 1.0))
+    assert discrete[n, 2 * n] == 0.0
+    for edge in (discrete[0], discrete[n], discrete[:, 0], discrete[:, 2 * n]):
+        assert np.all(edge == 0.0)
     # discrete field approximates the exact one away from the boundary
-    assert discrete[(1.0, 0.5)] == pytest.approx(0.70710678, abs=3e-2)
+    assert discrete[n // 2, n] == pytest.approx(0.70710678, abs=3e-2)
 
 
 def test_assemble_rejects_bad_dx():
@@ -260,10 +264,3 @@ def test_oracle_state_round_trips_to_monolithic(n):
     full = sys_.assemble_full(state.u1, state.u2)
     assert full.tobytes() == sys_.monolithic_solution().tobytes()
     np.testing.assert_array_equal(state.u_gamma, state.u2[: sys_.interface_count])
-
-
-def test_scalar_forcing_broadcasts():
-    sys_ = transmission_assemble(0.25, forcing=lambda x, y: 2.0)
-    assert sys_.f_omega1.shape == (sys_.n1,) and sys_.f_block2.shape == (sys_.n2,)
-    assert np.all(sys_.f_omega1 == 2.0) and np.all(sys_.f_block2 == 2.0)
-    assert np.all(sys_.monolithic_rhs == -2.0)
