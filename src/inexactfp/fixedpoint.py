@@ -130,6 +130,8 @@ def _drive(step, x0, tol: float, max_iter: int, exit_test=None) -> FixedPointTra
 
     Each step exits on divergence, then on inner stagnation, then when
     ``exit_test(y, inc)`` returns a Termination; the default tests inc <= tol.
+    Inner stagnation is judged by the solve that produced the iterate, which
+    a step lists last: it did 0 iterations and the iterate did not move.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -151,7 +153,7 @@ def _drive(step, x0, tol: float, max_iter: int, exit_test=None) -> FixedPointTra
         if not np.all(np.isfinite(y)) or inc > DIVERGENCE_LIMIT:
             terminated = Termination.DIVERGED
             break
-        if reports and inc == 0.0 and all(r.iterations == 0 for r in reports):
+        if inc == 0.0 and reports and reports[-1].iterations == 0:
             terminated = Termination.INNER_STAGNATION
             break
         verdict = exit_test(y, inc)

@@ -12,17 +12,22 @@ Criteria, for the linear system A x = b with initial guess x0:
 * relative to rhs:               ||b - A x|| <= tau * ||b||
 * absolute:                      ||b - A x|| <= tau
 
-All inequalities are inclusive. When the recurrence residual meets the
-threshold the true residual is recomputed to guard against recurrence drift.
-Within a factor ``DRIFT_GUARD_FACTOR`` of the threshold the solve converged.
-Otherwise the solver restarts from the true residual, unless that residual
-failed to fall below ``RESTART_PROGRESS_FACTOR`` times the true residual at
-the previous restart (the first restart compares against the initial
-residual): then the threshold lies below the float64 residual floor, about
-``eps_mach * ||A|| * ||x||`` (Greenbaum, SIMAX 18(3), 1997), and the solver
-stops with breakdown "attainable accuracy" instead of restarting until its
-iteration cap. GMRES stops the same way once its Krylov space is exhausted
-(happy breakdown, or n steps of full GMRES), where a restart cannot gain.
+All inequalities are inclusive. The true residual is recomputed once the
+recurrence residual meets the threshold or the float64 floor
+``eps_mach * (a * ||x0|| + ||b||)`` (Greenbaum, SIMAX 18(3), 1997; van der
+Vorst and Ye, SISC 22(3), 2000), whichever is larger. ``a`` estimates
+``||A||`` from quotients the solver forms anyway: the largest ``p'Ap / r'r``
+(= 1/alpha, at most lambda_max) in CG, the largest Hessenberg diagonal
+``|h_jj|`` in GMRES. It reads only the operator's products, so a matrix and
+the callable ``v -> A @ v`` stop alike. Within a factor
+``DRIFT_GUARD_FACTOR`` of the threshold the solve converged. Within that
+factor of the floor, or not below ``RESTART_PROGRESS_FACTOR`` times the true
+residual at the previous restart (the initial residual before the first),
+it stops with breakdown "attainable accuracy" instead of iterating towards
+a threshold float64 cannot reach. Otherwise the recurrence drifted and the
+solver restarts from the true residual. GMRES applies the same verdict once
+its Krylov space is exhausted (happy breakdown, or n steps of full GMRES),
+where a restart cannot gain.
 
 The operator is a callable ``v -> A v`` or a matrix. A float64 CSR or DIA
 matrix is applied by scipy's ``csr_matvec`` or ``dia_matvec`` kernel
@@ -48,6 +53,7 @@ from scipy.sparse import _sparsetools
 from .linalg import DimensionMismatchError, norm2
 
 DRIFT_GUARD_FACTOR = 10.0
+EPS_MACH = float(np.finfo(float).eps)
 RESTART_PROGRESS_FACTOR = 0.5
 DEGENERATE_RHS_NORM = 1e-300
 _DEGENERATE_FALLBACK_TOL = 1e-14
@@ -106,8 +112,10 @@ class SolveReport:
 
     * ``"iteration cap"``: ``max_iter`` ran out;
     * ``"attainable accuracy"``: the threshold is below what the true
-      residual can reach in float64 (a drift restart made no progress, or
-      full GMRES exhausted the Krylov space);
+      residual can reach in float64: the recurrence residual met the floor
+      ``eps_mach * (a * ||x0|| + ||b||)`` and the true residual came within
+      ``DRIFT_GUARD_FACTOR`` of it, or a drift restart made no progress, or
+      full GMRES exhausted the Krylov space;
     * ``"indefinite or non-finite"``: CG met a non-positive curvature or
       either solver produced a non-finite residual.
     """
@@ -150,12 +158,14 @@ def _as_apply(op):
 def _start(op, b, x0, criterion: TerminationCriterion):
     """Set-up shared by both solvers. The threshold falls back to an absolute
     1e-14 when the rhs-relative rule meets a numerically zero rhs. ``report``
-    takes ``x``, which GMRES rebinds; ``done`` is the report to return before
-    any iteration, or None."""
+    takes ``x``, which GMRES rebinds; ``floor(a)`` is the float64 residual
+    floor for the operator-norm estimate ``a``; ``done`` is the report to
+    return before any iteration, or None."""
     apply_op = _as_apply(op)
     b = np.asarray(b, dtype=float)
     x = np.array(x0, dtype=float)
     rhs_norm = norm2(b)
+    x0_norm = norm2(x)
     degenerate = (
         criterion.kind is CriterionKind.RELATIVE_TO_RHS and rhs_norm < DEGENERATE_RHS_NORM
     )
@@ -180,17 +190,20 @@ def _start(op, b, x0, criterion: TerminationCriterion):
             rhs_degenerate=degenerate,
         )
 
+    def floor(a):
+        return EPS_MACH * (a * x0_norm + rhs_norm)
+
     done = None
     if not math.isfinite(r0_norm):  # inf <= tau * inf would pass the test below
         done = report(x, False, 0, r0_norm, "indefinite or non-finite")
     elif r0_norm <= threshold:
         done = report(x, True, 0, r0_norm)
-    return apply_op, b, x, r, history, threshold, report, done
+    return apply_op, b, x, r, history, threshold, floor, report, done
 
 
-def _drift_exit(true_res: float, threshold: float, restart_res: float):
+def _drift_exit(true_res: float, threshold: float, floor: float, restart_res: float):
     """The stopping rule shared by both solvers, applied once the recurrence
-    residual has met ``threshold``.
+    residual has met ``max(threshold, floor)``.
 
     Returns ``(converged, breakdown)`` to stop with, or ``None`` to restart
     from the true residual. ``restart_res`` is the true residual at the
@@ -198,7 +211,7 @@ def _drift_exit(true_res: float, threshold: float, restart_res: float):
     """
     if true_res <= DRIFT_GUARD_FACTOR * threshold:
         return True, None
-    if true_res > RESTART_PROGRESS_FACTOR * restart_res:
+    if true_res <= DRIFT_GUARD_FACTOR * floor or true_res > RESTART_PROGRESS_FACTOR * restart_res:
         return False, "attainable accuracy"
     return None
 
@@ -213,10 +226,11 @@ def cg_solve(
     """Conjugate gradients for symmetric positive definite ``op``.
 
     The criterion is checked on the recurrence residual after every step and
-    on the true residual before the first. SPD-ness is the caller's
-    responsibility; an indefinite operator surfaces as a breakdown report.
+    on the true residual before the first; ``a`` of the floor is the largest
+    ``p'Ap / r'r`` so far. SPD-ness is the caller's responsibility; an
+    indefinite operator surfaces as a breakdown report.
     """
-    apply_op, b, x, r, history, threshold, report, done = _start(op, b, x0, criterion)
+    apply_op, b, x, r, history, threshold, floor, report, done = _start(op, b, x0, criterion)
     if done is not None:
         return done
 
@@ -224,6 +238,7 @@ def cg_solve(
     tmp = np.empty_like(p)
     rs = float(r @ r)
     restart_res = history[0]
+    a_max, floor_k = 0.0, floor(0.0)
     it = 0
     while it < max_iter:
         Ap = apply_op(p)
@@ -231,6 +246,9 @@ def cg_solve(
         if not math.isfinite(pAp) or pAp <= 0.0:
             return report(x, False, it, norm2(b - apply_op(x)), "indefinite or non-finite")
         alpha = rs / pAp
+        if pAp / rs > a_max:
+            a_max = pAp / rs
+            floor_k = floor(a_max)
         # x, r and p are updated in place through one work vector: the
         # same IEEE operations as x + alpha * p etc., without temporaries.
         # Ap is not scaled in place: a callable operator may own that array
@@ -244,10 +262,10 @@ def cg_solve(
         history.append(res)
         if not math.isfinite(res):
             return report(x, False, it, res, "indefinite or non-finite")
-        if res <= threshold:
+        if res <= threshold or res <= floor_k:
             r = b - apply_op(x)
             true_res = norm2(r)
-            verdict = _drift_exit(true_res, threshold, restart_res)
+            verdict = _drift_exit(true_res, threshold, floor_k, restart_res)
             if verdict is not None:
                 return report(x, verdict[0], it, true_res, verdict[1])
             # recurrence drifted: restart the recursion from the true residual
@@ -275,13 +293,15 @@ def gmres_solve(
     for free from the rotated right-hand side. Happy breakdown (Arnoldi norm
     below 1e-14 of the initial residual) means the Krylov space contains the
     exact solution in exact arithmetic; in float64 the true residual still
-    decides whether the solve converged.
+    decides whether the solve converged. ``a`` of the floor is the largest
+    ``|h_jj|`` so far.
     """
-    apply_op, b, x, r, history, threshold, report, done = _start(op, b, x0, criterion)
+    apply_op, b, x, r, history, threshold, floor, report, done = _start(op, b, x0, criterion)
     if done is not None:
         return done
     n = b.shape[0]
     r0_norm = restart_res = history[0]
+    a_max, floor_k = 0.0, floor(0.0)
     total_it = 0
     while total_it < max_iter:
         cycle = min(n, max_iter - total_it)
@@ -306,6 +326,9 @@ def gmres_solve(
             w = w - basis @ correction
             h = (coeffs + correction).tolist()
             h.append(norm2(w))
+            if abs(h[j]) > a_max:
+                a_max = abs(h[j])
+                floor_k = floor(a_max)
             happy = h[j + 1] < 1e-14 * r0_norm
             if not happy:
                 V[:, j + 1] = w / h[j + 1]
@@ -331,7 +354,7 @@ def gmres_solve(
             history.append(res)
             if not math.isfinite(res):
                 return report(x, False, total_it, res, "indefinite or non-finite")
-            satisfied = res <= threshold
+            satisfied = res <= threshold or res <= floor_k
             if satisfied or happy:
                 break
         y = np.linalg.solve(H[:j_used, :j_used], g[:j_used])
@@ -341,13 +364,9 @@ def gmres_solve(
         # happy breakdown or full GMRES at n steps: the Krylov space is
         # exhausted, so a restart has nothing more to gain
         exhausted = happy or j_used == n
-        if satisfied:
-            verdict = _drift_exit(true_res, threshold, 0.0 if exhausted else restart_res)
+        if satisfied or exhausted:
+            verdict = _drift_exit(true_res, threshold, floor_k, 0.0 if exhausted else restart_res)
             if verdict is not None:
                 return report(x, verdict[0], total_it, true_res, verdict[1])
-        elif exhausted:
-            if true_res <= threshold:
-                return report(x, True, total_it, true_res)
-            return report(x, False, total_it, true_res, "attainable accuracy")
         restart_res = true_res  # restart from the true residual
     return report(x, False, total_it, norm2(b - apply_op(x)), "iteration cap")

@@ -26,7 +26,11 @@ class ScalarMapSpec:
 
     @property
     def lipschitz(self) -> float:
-        return self.gamma * math.exp(self.gamma) / 4.0
+        """g e^g / 4, or inf where e^g overflows float64 (g above about 709)."""
+        try:
+            return self.gamma * math.exp(self.gamma) / 4.0
+        except OverflowError:
+            return math.inf
 
 
 def scalar_map(spec: ScalarMapSpec):

@@ -273,7 +273,8 @@ def dn_iterate(
     inner_guess: str = "previous",
 ) -> FixedPointTrace:
     """Iterate sweeps from zero interface values until the interface increment
-    drops below ``tol``; the trace records both solve reports per sweep."""
+    drops below ``tol``; the trace records both solve reports per sweep, the
+    Neumann solve's last: it produces the iterate, so it decides stagnation."""
     state = DnState.zeros(sys)
 
     def step(u_gamma, k):

@@ -331,6 +331,17 @@ def test_non_finite_initial_residual_is_not_converged(solver, make, b, x0):
     assert rep.final_residual_norm == np.inf
 
 
+@pytest.mark.parametrize("n", [20, 50, 100])
+def test_cg_threshold_far_below_floor_does_not_spin_to_cap(n):
+    # the recurrence residual would have to underflow to meet 1e-200; the
+    # solve stops once it meets the floor and the true residual sits there
+    A = laplacian_1d(n)
+    b = np.random.default_rng(n).normal(size=n)
+    rep = cg_solve(A, b, np.zeros(n), absolute(1e-200), max_iter=10 * n)
+    assert rep.breakdown == "attainable accuracy"
+    assert rep.iterations < 10 * n
+
+
 def test_cg_iteration_cap_reported_before_floor():
     A = laplacian_1d(50)
     b = np.random.default_rng(1).normal(size=50)
@@ -341,7 +352,7 @@ def test_cg_iteration_cap_reported_before_floor():
 
 
 @st.composite
-def spd_tridiagonal_problems(draw):
+def spd_tridiagonal_systems(draw):
     n = draw(st.integers(2, 40))
     off = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1)))
     margin = draw(st.floats(1e-3, 10.0))
@@ -351,6 +362,13 @@ def spd_tridiagonal_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     b = rng.normal(size=n)
     x0 = rng.normal(size=n) if draw(st.booleans()) else np.zeros(n)
+    return A, b, x0
+
+
+@st.composite
+def spd_tridiagonal_problems(draw):
+    A, b, x0 = draw(spd_tridiagonal_systems())
+    n = b.shape[0]
     make = draw(st.sampled_from([relative_to_initial, relative_to_rhs, absolute]))
     criterion = make(10.0 ** draw(st.floats(-18.0, 0.0)))
     max_iter = draw(st.integers(1, 6 * n))
@@ -368,3 +386,23 @@ def test_reports_are_honest_property(solver, problem):
     if rep.converged:
         threshold = criterion.threshold(rep.initial_residual_norm, rep.rhs_norm)
         assert norm2(b - A @ rep.solution) <= DRIFT_GUARD_FACTOR * threshold
+
+
+@pytest.mark.parametrize("solver", SOLVERS, ids=["cg", "gmres"])
+@settings(max_examples=150, deadline=None, database=None)
+@given(system=spd_tridiagonal_systems(), exponent=st.floats(-300.0, 0.0))
+def test_floor_exit_is_honest_property(solver, system, exponent):
+    # absolute thresholds from far below the float64 floor up to 1
+    A, b, x0 = system
+    threshold = 10.0**exponent
+    rep = solver(A, b, x0, absolute(threshold))
+    assert rep.final_residual_norm == norm2(b - A @ rep.solution)
+    assert rep.converged == (rep.final_residual_norm <= DRIFT_GUARD_FACTOR * threshold)
+    assert rep.breakdown in (None, "attainable accuracy")
+    # the floor reads only the operator's products: a callable gives the
+    # same report, bit for bit
+    other = solver(lambda v: A @ v, b, x0, absolute(threshold))
+    assert other.solution.tobytes() == rep.solution.tobytes()
+    assert (other.iterations, other.final_residual_norm, other.breakdown,
+            other.residual_history) == (rep.iterations, rep.final_residual_norm,
+                                        rep.breakdown, rep.residual_history)

@@ -245,14 +245,15 @@ def test_dia_block_is_bitwise_the_csr_laplacian_product(n):
 
 
 # outer sweeps and CG iterations at dx = 1/20; a last-bit change in the
-# matvec or the CG updates can move them
-@pytest.mark.parametrize("criterion, steps, cg_iterations", [
-    (absolute(1e-2), 60, 2930),
-    (relative_to_initial(1e-1), 199, 5462),
+# matvec or the CG updates can move them. The abs run ends on a Neumann
+# solve of 0 iterations; the rel run's late solves stop at the float64 floor
+@pytest.mark.parametrize("criterion, terminated_by, steps, cg_iterations", [
+    (absolute(1e-2), Termination.INNER_STAGNATION, 60, 2930),
+    (relative_to_initial(1e-1), Termination.INCREMENT_BELOW_TOL, 197, 5325),
 ], ids=["abs-1e-2", "rel-1e-1"])
-def test_dn_work_counters_pinned(criterion, steps, cg_iterations):
+def test_dn_work_counters_pinned(criterion, terminated_by, steps, cg_iterations):
     trace = dn_iterate(transmission_assemble(1 / 20), criterion, tol=1e-14)
-    assert trace.terminated_by is Termination.INCREMENT_BELOW_TOL
+    assert trace.terminated_by is terminated_by
     assert trace.steps == steps
     assert trace.total_inner_iterations == cg_iterations
 
