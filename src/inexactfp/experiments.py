@@ -119,6 +119,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise UsageError(f"{name} must be finite, got {value}")
+        if self.adaptive_c < 0:  # zero is meaningful: no perturbation
+            raise UsageError(f"adaptive_c must be nonnegative, got {self.adaptive_c}")
         for name in (*_POSITIVE_LISTS, *_NONNEGATIVE_LISTS):
             values = getattr(self, name)
             if values is None:

@@ -4,7 +4,7 @@ The stopping rule is the whole point here: the solvers test one of three
 criteria on the residual norm after every iteration (and once before the
 first, so a good enough initial guess exits with zero iterations) and report
 everything an outer fixed point analysis needs - initial/final residual
-norms, the rhs norm, the iteration count and the criterion itself.
+norms, the threshold the verdict used and the iteration count.
 
 Criteria, for the linear system A x = b with initial guess x0:
 
@@ -12,7 +12,8 @@ Criteria, for the linear system A x = b with initial guess x0:
 * relative to rhs:               ||b - A x|| <= tau * ||b||
 * absolute:                      ||b - A x|| <= tau
 
-All inequalities are inclusive. The true residual is recomputed once the
+All inequalities are inclusive, so a zero rhs under the rhs-relative rule
+asks for an exact zero residual. The true residual is recomputed once the
 recurrence residual meets the threshold or the float64 floor
 ``eps_mach * (a * ||x0|| + ||b||)`` (Greenbaum, SIMAX 18(3), 1997; van der
 Vorst and Ye, SISC 22(3), 2000), whichever is larger. ``a`` estimates
@@ -55,8 +56,6 @@ from .linalg import DimensionMismatchError, norm2
 DRIFT_GUARD_FACTOR = 10.0
 EPS_MACH = float(np.finfo(float).eps)
 RESTART_PROGRESS_FACTOR = 0.5
-DEGENERATE_RHS_NORM = 1e-300
-_DEGENERATE_FALLBACK_TOL = 1e-14
 
 
 class CriterionKind(enum.Enum):
@@ -102,10 +101,11 @@ class SolveReport:
     """Outcome of one inner linear solve.
 
     ``iterations == 0`` is legitimate: the initial guess already satisfied
-    the criterion. ``residual_history`` holds the per-iteration (recurrence)
-    residual norms starting from the initial one. ``rhs_degenerate`` flags
-    the rhs-relative criterion hitting a numerically zero rhs, in which case
-    the solve fell back to an absolute tolerance of 1e-14.
+    the criterion. ``threshold`` is the residual norm the criterion asked
+    for, ``criterion.threshold(initial_residual_norm, ||b||)``; a converged
+    solve has a true final residual within ``DRIFT_GUARD_FACTOR`` of it.
+    ``residual_history`` holds the per-iteration (recurrence) residual norms
+    starting from the initial one.
 
     ``breakdown`` is ``None`` exactly when ``converged`` is true. Otherwise it
     names the reason the solve stopped short:
@@ -123,13 +123,11 @@ class SolveReport:
     solution: np.ndarray
     iterations: int
     initial_residual_norm: float
+    threshold: float
     final_residual_norm: float
-    rhs_norm: float
-    criterion: TerminationCriterion
     converged: bool
     breakdown: str | None = None
     residual_history: list[float] = field(default_factory=list)
-    rhs_degenerate: bool = False
 
 
 def _as_apply(op):
@@ -156,38 +154,32 @@ def _as_apply(op):
 
 
 def _start(op, b, x0, criterion: TerminationCriterion):
-    """Set-up shared by both solvers. The threshold falls back to an absolute
-    1e-14 when the rhs-relative rule meets a numerically zero rhs. ``report``
-    takes ``x``, which GMRES rebinds; ``floor(a)`` is the float64 residual
-    floor for the operator-norm estimate ``a``; ``done`` is the report to
-    return before any iteration, or None."""
+    """Set-up shared by both solvers: ``b`` must be a vector of ``x0``'s
+    shape. ``report`` takes ``x``, which GMRES rebinds; ``floor(a)`` is the
+    float64 residual floor for the operator-norm estimate ``a``; ``done`` is
+    the report to return before any iteration, or None."""
     apply_op = _as_apply(op)
     b = np.asarray(b, dtype=float)
     x = np.array(x0, dtype=float)
+    if b.ndim != 1 or b.shape != x.shape:
+        raise DimensionMismatchError(f"rhs has shape {b.shape}, initial guess {x.shape}")
     rhs_norm = norm2(b)
     x0_norm = norm2(x)
-    degenerate = (
-        criterion.kind is CriterionKind.RELATIVE_TO_RHS and rhs_norm < DEGENERATE_RHS_NORM
-    )
     r = b - apply_op(x)
     r0_norm = norm2(r)
     history = [r0_norm]
-    threshold = (
-        _DEGENERATE_FALLBACK_TOL if degenerate else criterion.threshold(r0_norm, rhs_norm)
-    )
+    threshold = criterion.threshold(r0_norm, rhs_norm)
 
     def report(x, converged, iterations, final, breakdown=None):
         return SolveReport(
             solution=x,
             iterations=iterations,
             initial_residual_norm=r0_norm,
+            threshold=threshold,
             final_residual_norm=final,
-            rhs_norm=rhs_norm,
-            criterion=criterion,
             converged=converged,
             breakdown=breakdown,
             residual_history=history,
-            rhs_degenerate=degenerate,
         )
 
     def floor(a):

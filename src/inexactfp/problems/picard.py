@@ -50,14 +50,12 @@ class PicardProblemSpec:
 
 
 def picard_assemble(spec: PicardProblemSpec, x: np.ndarray):
-    """Assemble (A(x), b(x)) for the lagged velocity field x.
+    """Assemble A(x) for the lagged velocity field x.
 
     A(x) = nu * tridiag(-1, 2, -1)/h^2 plus upwind convection: row i uses
     x_i to pick the upwind side, contributing |x_i|/h on the diagonal and
     -|x_i|/h on the upwind neighbour, so diagonal dominance holds for any
-    finite x. b(x) = A(x) @ u*_grid is the manufactured forcing under the
-    same lagged field; assembling at x = u*_grid gives the fixed forcing of
-    the nonlinear system.
+    finite x.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[0] != spec.n:
@@ -73,15 +71,13 @@ def picard_assemble(spec: PicardProblemSpec, x: np.ndarray):
     rows[1:, 0], rows[:, 1], rows[:-1, 2] = lower, main, upper
     cols = np.arange(-1, n - 1, dtype=np.int32)[:, None] + np.arange(3, dtype=np.int32)
     indptr = np.clip(3 * np.arange(n + 1, dtype=np.int32) - 1, 0, 3 * n - 2)
-    A = sp.csr_matrix((rows.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(n, n))
-    b = A @ spec.exact_solution()
-    return A, b
+    return sp.csr_matrix((rows.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(n, n))
 
 
 def picard_forcing(spec: PicardProblemSpec) -> np.ndarray:
-    """The fixed right-hand side: forcing assembled at the exact solution."""
-    _, b = picard_assemble(spec, spec.exact_solution())
-    return b
+    """The fixed right-hand side A(u*) u* of the manufactured solution u*."""
+    u = spec.exact_solution()
+    return picard_assemble(spec, u) @ u
 
 
 def picard_iterate(
@@ -100,14 +96,14 @@ def picard_iterate(
     b = picard_forcing(spec)
     x0 = np.zeros(spec.n) if x0 is None else np.asarray(x0, dtype=float)
     inner_cap = max(2 * spec.n, 50)
-    A, _ = picard_assemble(spec, x0)
+    A = picard_assemble(spec, x0)
     residuals: list[float] = []
 
     def step(x, k):
         nonlocal A
         rep = gmres_solve(A, b, x0=x, criterion=criterion, max_iter=inner_cap)
         y = rep.solution
-        A, _ = picard_assemble(spec, y)
+        A = picard_assemble(spec, y)
         residuals.append(norm2(A @ y - b))
         return y, [rep]
 

@@ -290,12 +290,13 @@ def test_cli_config_file_with_flag_override(tmp_path):
     (["--experiment", "scalar-direct", "--tau", "1e-3", "--criterion", "abs"], None),
     (["--experiment", "transmission-efficiency", "--criterion", "abs", "--tau", "1e-5"], None),
     (["--experiment", "scalar-direct", "--inner-guess", "zero"], None),
+    (["--experiment", "scalar-adaptive", "--adaptive-c", "-1"], None),
 ], ids=["eps-abc", "dx-1/0", "config-tol-oops", "config-missing", "tol-nan", "dx-nan",
         "max-outer-0", "max-outer-neg", "tau-empty", "export-fields-scalar",
         "ls-lf-lengths", "ls-lf-default-length", "efficiency-two-dx",
         "efficiency-two-dx-export", "dx-not-1/n", "dx-not-1/n-after-valid",
         "scalar-direct-tau-criterion", "efficiency-criterion-tau",
-        "scalar-direct-inner-guess-zero"])
+        "scalar-direct-inner-guess-zero", "adaptive-c-negative"])
 def test_cli_malformed_number_is_usage_error(argv, config_text, tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"  # written only when the case has a file
     if config_text is not None:

@@ -16,7 +16,7 @@ from inexactfp.krylov import (
     relative_to_initial,
     relative_to_rhs,
 )
-from inexactfp.linalg import norm2, solve_direct
+from inexactfp.linalg import DimensionMismatchError, norm2, solve_direct
 
 
 def laplacian_1d(n):
@@ -188,12 +188,10 @@ def test_cg_criterion_soundness_with_drift_guard():
         M = rng.normal(size=(n, n))
         A = M @ M.T + n * np.eye(n)
         b = rng.normal(size=n)
-        crit = relative_to_initial(1e-3)
-        rep = cg_solve(A, b, np.zeros(n), crit)
+        rep = cg_solve(A, b, np.zeros(n), relative_to_initial(1e-3))
         assert rep.converged
         true_res = norm2(b - A @ rep.solution)
-        threshold = crit.threshold(rep.initial_residual_norm, rep.rhs_norm)
-        assert true_res <= 10 * threshold
+        assert true_res <= DRIFT_GUARD_FACTOR * rep.threshold
         assert rep.final_residual_norm == pytest.approx(true_res, rel=1e-9)
 
 
@@ -226,14 +224,28 @@ def test_cg_oracle_agreement_random_spd():
 
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=["cg", "gmres"])
-def test_degenerate_rhs_flagged(solver):
-    # a zero rhs makes the rhs-relative threshold zero: both solvers fall
-    # back to an absolute 1e-14 through their shared set-up
+def test_zero_rhs_relative_to_rhs_verdict(solver):
+    # a zero rhs makes the rhs-relative threshold zero, which float64 does
+    # not reach from x0 = ones: the solve stops at the floor and says so
     A = laplacian_1d(6)
     rep = solver(A, np.zeros(6), np.ones(6), relative_to_rhs(0.1), max_iter=100)
-    assert rep.rhs_degenerate
-    assert rep.converged
+    assert rep.threshold == 0.0
+    assert rep.converged is False
+    assert rep.breakdown == "attainable accuracy"
+    assert rep.iterations == 3
     assert norm2(rep.solution) <= 1e-10
+    # from x0 = 0 the residual is exactly zero and meets the threshold
+    rep = solver(A, np.zeros(6), np.zeros(6), relative_to_rhs(0.1), max_iter=100)
+    assert rep.converged and rep.iterations == 0
+
+
+@pytest.mark.parametrize("solver", SOLVERS, ids=["cg", "gmres"])
+@pytest.mark.parametrize("b", [np.array([1.0]), np.array(1.0), np.ones(4)],
+                         ids=["shape-1", "scalar", "shape-n-1"])
+def test_misshaped_rhs_is_rejected(solver, b):
+    # broadcasting would reinterpret b; a mis-shaped rhs is an error instead
+    with pytest.raises(DimensionMismatchError):
+        solver(laplacian_1d(5), b, np.zeros(5), absolute(1e-10))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +372,7 @@ def spd_tridiagonal_systems(draw):
     diag = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off]) + margin
     A = sp.diags([off, diag, off], [-1, 0, 1]).tocsr()
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    b = rng.normal(size=n)
+    b = rng.normal(size=n) if draw(st.integers(0, 9)) else np.zeros(n)
     x0 = rng.normal(size=n) if draw(st.booleans()) else np.zeros(n)
     return A, b, x0
 
@@ -383,9 +395,9 @@ def test_reports_are_honest_property(solver, problem):
     rep = solver(A, b, x0, criterion, max_iter=max_iter)
     assert rep.iterations <= max_iter
     assert (rep.breakdown is None) == rep.converged
+    assert rep.threshold == criterion.threshold(rep.initial_residual_norm, norm2(b))
     if rep.converged:
-        threshold = criterion.threshold(rep.initial_residual_norm, rep.rhs_norm)
-        assert norm2(b - A @ rep.solution) <= DRIFT_GUARD_FACTOR * threshold
+        assert norm2(b - A @ rep.solution) <= DRIFT_GUARD_FACTOR * rep.threshold
 
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=["cg", "gmres"])
