@@ -361,3 +361,24 @@ def test_export_field_csvs_bytes_pinned(tmp_path):
         "32d26a842e5d5f80e593f1e77d290b3fb7cfe9c3620514b5b1ebe98d22313cf9",
         "49b84496422e4ebc0d1c2e4a54c791d70078050b12a1ba529179cad8cce876e7",
     ]
+
+
+# sha256 of the default tables of the scalar and 2x2 experiments; the md
+# digests cover the blocked layouts of linear-nested and scalar-nested
+SCALAR_TABLE_DIGESTS = {
+    ("scalar-direct", "csv"): "496cdc7658cb86ed4587af65dc088a29fb9ed03373f5eaf31d8f0e2c726e03db",
+    ("scalar-direct", "md"): "86df812ec835fee20fa4d0dee3313311e383b02f6ac22e680ebda7437ba396e4",
+    ("scalar-adaptive", "csv"): "9a6dd679c542477f07e1cef7fb14474a245f8604406445294e4bd421af12ec72",
+    ("scalar-adaptive", "md"): "a5d6af15f521f20192fd642161ba88be2e2e3fe3afb807e966d96fef1299396f",
+    ("linear-nested", "csv"): "9f537699e1dcd57690826da339d7167f9dee218bdf5767cf2497719fcaa224b8",
+    ("linear-nested", "md"): "d7b3cd69984ef39895aabcc25c67670c214fbc2a972f8f5cec81ee30fd6b9af5",
+    ("scalar-nested", "csv"): "98b74a0cbde33a5c85a3584e019ab1965881c8b1d5d524698338cedcf763700e",
+    ("scalar-nested", "md"): "313e3e8149db034adac51a69b767ebbc59bcc3f74379cbb13cbcdc930bd381de",
+}
+
+
+@pytest.mark.parametrize("experiment, fmt", list(SCALAR_TABLE_DIGESTS),
+                         ids=[f"{e}-{f}" for e, f in SCALAR_TABLE_DIGESTS])
+def test_scalar_tables_bytes_pinned(experiment, fmt):
+    payload = emit(run_experiment(ExperimentConfig(experiment)), fmt)
+    assert hashlib.sha256(payload).hexdigest() == SCALAR_TABLE_DIGESTS[experiment, fmt]
