@@ -30,9 +30,7 @@ from .fixedpoint import (
 from .krylov import absolute, relative_to_initial, relative_to_rhs
 from .linalg import norm2
 from .problems import (
-    NestedScalarSpec,
     PicardProblemSpec,
-    ScalarMapSpec,
     dn_iterate,
     field_grids,
     linear_nested,
@@ -157,7 +155,7 @@ class ExperimentConfig:
             raise UsageError(f"scalar-adaptive pairs ls with lf, got {ls} and {lf}")
         pairs = itertools.chain(zip(ls, lf) if adaptive else itertools.product(ls, lf),
                                 itertools.product(cfg.alphas or [], cfg.betas or []))
-        points = [(f"gamma={g}", ScalarMapSpec(g).lipschitz) for g in cfg.gammas or []]
+        points = [(f"gamma={g}", scalar_map(g)[1]) for g in cfg.gammas or []]
         for point, L in points + [(f"{a}*{b}", a * b) for a, b in pairs]:
             if not L < 1.0 or (adaptive and L == 0.0):
                 raise UsageError(f"{cfg.experiment}: {point} gives L={L:.6g}, not in (0, 1)")
@@ -265,7 +263,7 @@ def _markdown_blocks(report, outer, row_key, col_key, line_fields):
 def _run_scalar_direct(cfg: ExperimentConfig) -> TableReport:
     rows = []
     for gamma in cfg.gammas:
-        f, L = scalar_map(ScalarMapSpec(gamma))
+        f, L = scalar_map(gamma)
         x_star = iterate_plain(f, 0.5, tol=cfg.tol).final
         for eps in cfg.eps_values:
             schedule = PerturbationSchedule.constant(eps)
@@ -286,7 +284,7 @@ def _run_scalar_adaptive(cfg: ExperimentConfig) -> TableReport:
     tol, max_iter, c = cfg.tol, cfg.max_outer, cfg.adaptive_c
     rows = []
     for gamma in cfg.gammas:
-        f, L = scalar_map(ScalarMapSpec(gamma))
+        f, L = scalar_map(gamma)
         x_star = iterate_plain(f, 0.5, tol=tol).final
         schedule = PerturbationSchedule.adaptive(c, L)
         trace = iterate_perturbed(f, schedule, 0.5, tol=tol, max_iter=max_iter)
@@ -298,7 +296,7 @@ def _run_scalar_adaptive(cfg: ExperimentConfig) -> TableReport:
             "outer_iterations": trace.steps,
         })
     for L_S, L_F in zip(cfg.ls_values, cfg.lf_values):
-        S, F, _, _ = nested_scalar(NestedScalarSpec.from_lipschitz(L_S, L_F))
+        S, F = nested_scalar(L_S, L_F)
         x_star = iterate_plain(lambda x: S(F(x)), 0.5, tol=tol).final
         schedule = PerturbationSchedule.adaptive(c, L_S * L_F)
         trace = iterate_nested(S, F, schedule, schedule, 0.5, tol=tol, max_iter=max_iter)
@@ -341,10 +339,9 @@ def _run_scalar_nested(cfg: ExperimentConfig) -> TableReport:
     for eps in cfg.eps_values:
         for L_S in cfg.ls_values:
             for L_F in cfg.lf_values:
-                spec = NestedScalarSpec.from_lipschitz(L_S, L_F)
-                S, F, _, _ = nested_scalar(spec)
+                S, F = nested_scalar(L_S, L_F)
                 x_star = float(iterate_plain(lambda x: S(F(x)), 0.5, tol=tol).final[0])
-                dS, dF = nested_local_derivatives(spec, x_star)
+                dS, dF = nested_local_derivatives(L_S, L_F, x_star)
                 schedule = PerturbationSchedule.constant(eps)
                 trace = iterate_nested(S, F, schedule, schedule, 0.5, tol, cfg.max_outer)
                 rows.append({

@@ -9,8 +9,6 @@ from .picard import (
     picard_iterate,
 )
 from .scalar import (
-    NestedScalarSpec,
-    ScalarMapSpec,
     nested_local_derivatives,
     nested_scalar,
     scalar_map,
@@ -29,9 +27,7 @@ from .transmission import (
 __all__ = [
     "DnState",
     "LinearNestedProblem",
-    "NestedScalarSpec",
     "PicardProblemSpec",
-    "ScalarMapSpec",
     "TransmissionSystem",
     "dn_iterate",
     "dn_step",

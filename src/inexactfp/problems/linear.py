@@ -26,14 +26,6 @@ class LinearNestedProblem:
     b: np.ndarray
     x_star: np.ndarray
 
-    @property
-    def L_S(self) -> float:
-        return float(np.linalg.norm(self.A, 2))
-
-    @property
-    def L_F(self) -> float:
-        return float(np.linalg.norm(self.B, 2))
-
 
 def _coupling_matrix(p: float) -> np.ndarray:
     return np.array([[p, 0.0], [OFF_DIAGONAL, OFF_DIAGONAL]])

@@ -13,7 +13,7 @@ from inexactfp.fixedpoint import (
     iterate_plain,
 )
 from inexactfp.linalg import norm2
-from inexactfp.problems import linear_nested
+from inexactfp.problems import linear_nested, nested_scalar
 
 
 def halving(x):
@@ -181,11 +181,7 @@ def test_nested_linear_2x2_reference_band():
 
 
 def test_nested_scalar_reference_cell():
-    # S(x) = 0.25*g1*e^x with L_S = 0.9, F(x) = g2 x^2 with L_F = 0.99
-    g1 = 3.6 / np.e
-    g2 = 0.495
-    S = lambda y: 0.25 * g1 * np.exp(y)
-    F = lambda x: g2 * x**2
+    S, F = nested_scalar(0.9, 0.99)
     x_star = iterate_plain(lambda x: S(F(x)), 0.5, tol=1e-14).final
     sched = PerturbationSchedule.constant(1e-1)
     trace = iterate_nested(S, F, sched, sched, 0.5, tol=1e-14)
@@ -270,7 +266,7 @@ def test_nested_per_step_geometric_series_bound(alpha, beta):
     # brute-force accumulation of the per-step bound
     # (Ls Lf)^{k+1} ||x0 - x*|| + sum_j (Ls Lf)^j (Ls eps + delta)
     problem = linear_nested(alpha, beta)
-    L_S, L_F = problem.L_S, problem.L_F
+    L_S, L_F = np.linalg.norm(problem.A, 2), np.linalg.norm(problem.B, 2)
     eps = 1e-1
     sched = PerturbationSchedule.constant(eps)
     trace = iterate_nested(problem.S, problem.F, sched, sched, np.zeros(2), tol=1e-14)
@@ -286,9 +282,7 @@ def test_nested_per_step_geometric_series_bound(alpha, beta):
 def test_nested_bound_dominates_measured_error():
     for L_S in (0.1, 0.9, 0.99):
         for L_F in (0.1, 0.9, 0.99):
-            g1, g2 = 4 * L_S / np.e, L_F / 2
-            S = lambda y: 0.25 * g1 * np.exp(y)
-            F = lambda x: g2 * x**2
+            S, F = nested_scalar(L_S, L_F)
             x_star = iterate_plain(lambda x: S(F(x)), 0.5, tol=1e-14).final
             sched = PerturbationSchedule.constant(1e-1)
             trace = iterate_nested(S, F, sched, sched, 0.5, tol=1e-14)
