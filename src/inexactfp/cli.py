@@ -158,6 +158,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        mode, other = (("--run-acceptance", ["config", *_KEYS_BY_FLAG]) if args.run_acceptance
+                       else ("an experiment run", ["criteria", "verbose"]))
+        given = [f"--{flag}" for flag in other
+                 if getattr(args, flag.replace("-", "_")) not in (None, False)]
+        if given:
+            raise UsageError(f"{mode} does not read {', '.join(given)}")
         if args.run_acceptance:
             return _run_acceptance_command(args)
         cfg = _merge_config(args)

@@ -105,16 +105,18 @@ class PerturbationSchedule:
 
 def bound_direct(eps: float, L: float) -> float:
     """Error bound eps / (1 - L) for a constant perturbation of size eps."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if not 0.0 < L < 1.0:
-        raise NotAContractionError(f"need 0 < L < 1, got L={L}")
+    if not eps >= 0:  # so that NaN fails too
+        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not 0.0 <= L < 1.0:
+        raise NotAContractionError(f"need 0 <= L < 1, got L={L}")
     return eps / (1.0 - L)
 
 
 def bound_nested(eps: float, delta: float, L_S: float, L_F: float) -> float:
     """Error bound (eps * L_S + delta) / (1 - L_S L_F) for the nested case."""
-    if min(L_S, L_F) < 0 or L_S * L_F >= 1.0:
+    if not (eps >= 0 and delta >= 0):
+        raise ValueError(f"eps and delta must be nonnegative, got {eps}, {delta}")
+    if not (L_S >= 0 and L_F >= 0 and L_S * L_F < 1.0):
         raise NotAContractionError(
             f"need L_S, L_F >= 0 with L_S*L_F < 1, got {L_S}, {L_F}"
         )

@@ -159,8 +159,8 @@ def _laplacian(rows: int, cols: int) -> sp.csr_matrix:
 
 def mesh_cells(dx: float) -> int:
     """The cells per unit length n of a mesh width dx = 1/n, n >= 2;
-    ValueError for any other nonzero dx."""
-    inverse = 1.0 / dx
+    ValueError for any other dx."""
+    inverse = 1.0 / dx if dx else math.inf
     n = round(inverse) if math.isfinite(inverse) else 0
     if n < 2 or abs(n * dx - 1.0) > 1e-12:
         raise ValueError(f"1/dx must be a positive integer >= 2, got dx={dx}")

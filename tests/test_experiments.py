@@ -229,15 +229,17 @@ def test_picard_report_qualitative_flag():
 # CLI
 # ---------------------------------------------------------------------------
 
-def test_cli_writes_csv(tmp_path):
+def test_cli_writes_csv(tmp_path, capsys):
+    argv = ["--experiment", "scalar-direct", "--gammas", "0.3", "--eps", "1e-2"]
     out = tmp_path / "table.csv"
-    code = main([
-        "--experiment", "scalar-direct", "--gammas", "0.3", "--eps", "1e-2",
-        "--out", str(out),
-    ])
+    code = main([*argv, "--out", str(out)])
     assert code == 0
     content = out.read_text()
     assert content.splitlines()[0].startswith("gamma,")
+    assert capsys.readouterr().out == ""
+    # without --out the same bytes go to stdout
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
 def test_cli_usage_error_exit_code(capsys):
@@ -291,12 +293,27 @@ def test_cli_config_file_with_flag_override(tmp_path):
     (["--experiment", "transmission-efficiency", "--criterion", "abs", "--tau", "1e-5"], None),
     (["--experiment", "scalar-direct", "--inner-guess", "zero"], None),
     (["--experiment", "scalar-adaptive", "--adaptive-c", "-1"], None),
+    (["--experiment", "scalar-direct", "--config", "{cfg}"], "format=xml\n"),
+    (["--experiment", "transmission-error", "--config", "{cfg}"], "inner-guess=random\n"),
+    (["--experiment", "transmission-error", "--config", "{cfg}"], "criterion=foo\n"),
+    (["--experiment", "scalar-direct", "--config", "{cfg}"], "gammas 0.3\n"),
+    (["--experiment", "transmission-error", "--tau", "0"], None),
+    (["--experiment", "scalar-direct", "--tol", "-1"], None),
+    (["--run-acceptance", "--criteria", "A3", "--tau", "1e-3", "--dx", "0.3",
+      "--format", "md"], None),
+    (["--run-acceptance", "--criteria", "A3", "--out", "{cfg}"], None),
+    (["--run-acceptance", "--criteria", "A3", "--config", "{cfg}"],
+     "experiment=scalar-direct\n"),
+    (["--experiment", "scalar-direct", "--criteria", "A9", "--verbose"], None),
 ], ids=["eps-abc", "dx-1/0", "config-tol-oops", "config-missing", "tol-nan", "dx-nan",
         "max-outer-0", "max-outer-neg", "tau-empty", "export-fields-scalar",
         "ls-lf-lengths", "ls-lf-default-length", "efficiency-two-dx",
         "efficiency-two-dx-export", "dx-not-1/n", "dx-not-1/n-after-valid",
         "scalar-direct-tau-criterion", "efficiency-criterion-tau",
-        "scalar-direct-inner-guess-zero", "adaptive-c-negative"])
+        "scalar-direct-inner-guess-zero", "adaptive-c-negative", "config-format-xml",
+        "config-inner-guess-random", "config-criterion-foo", "config-line-without-equals",
+        "tau-zero", "tol-negative", "acceptance-experiment-flags", "acceptance-out",
+        "acceptance-config", "experiment-acceptance-flags"])
 def test_cli_malformed_number_is_usage_error(argv, config_text, tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"  # written only when the case has a file
     if config_text is not None:
@@ -305,6 +322,17 @@ def test_cli_malformed_number_is_usage_error(argv, config_text, tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""  # rejected before anything runs
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--run-acceptance", "--criteria", "A3", "--tau", "1e-3", "--dx", "0.3", "--format", "md"],
+     "error: --run-acceptance does not read --tau, --dx, --format\n"),
+    (["--experiment", "scalar-direct", "--criteria", "A9", "--verbose"],
+     "error: an experiment run does not read --criteria, --verbose\n"),
+], ids=["acceptance", "experiment"])
+def test_cli_mode_names_the_other_modes_flags(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message
 
 
 def test_config_file_rejects_unknown_key(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -197,16 +199,26 @@ def test_bound_direct_values():
     assert bound_direct(0.0, 0.3) == 0.0
     assert bound_direct(1e-2, 0.9) == pytest.approx(0.1, rel=1e-12)
     assert bound_direct(1e-1, 0.101239) == pytest.approx(0.111264, rel=1e-5)
-    with pytest.raises(NotAContractionError):
-        bound_direct(1e-2, 1.0)
+    assert bound_direct(1e-2, 0.0) == 1e-2  # L = 0 is a contraction
+    for L in (1.0, -0.1, math.nan):
+        with pytest.raises(NotAContractionError):
+            bound_direct(1e-2, L)
+    for eps in (-1e-2, math.nan):
+        with pytest.raises(ValueError):
+            bound_direct(eps, 0.5)
 
 
 def test_bound_nested_values():
     assert bound_nested(0.1, 0.1, 0.1, 0.1) == pytest.approx(1.111111e-1, rel=1e-6)
     assert bound_nested(0.1, 0.1, 0.99, 0.99) == pytest.approx(10.0, rel=1e-6)
     assert bound_nested(0.1, 0.1, 0.9, 0.9) == pytest.approx(1.0, rel=1e-6)
-    with pytest.raises(NotAContractionError):
-        bound_nested(0.1, 0.1, 1.0, 1.0)
+    assert bound_nested(0.1, 0.1, 0.0, 0.9) == pytest.approx(0.1, rel=1e-12)
+    for L_S, L_F in ((1.0, 1.0), (0.1, -5.0), (-0.1, 0.5), (math.nan, 0.5), (0.5, math.nan)):
+        with pytest.raises(NotAContractionError):
+            bound_nested(0.1, 0.1, L_S, L_F)
+    for eps, delta in ((-0.1, 0.1), (0.1, -0.1), (math.nan, 0.1), (0.1, math.nan)):
+        with pytest.raises(ValueError):
+            bound_nested(eps, delta, 0.5, 0.5)
 
 
 def test_direct_bound_dominates_measured_error():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -206,8 +207,9 @@ def test_field_grids_cover_grid_with_boundary(sys10):
 
 
 def test_assemble_rejects_bad_dx():
-    with pytest.raises(ValueError):
-        transmission_assemble(0.3)
+    for dx in (0.3, 0.0, -0.5, 1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="1/dx must be a positive integer"):
+            transmission_assemble(dx)
 
 
 # at n = 49, n * (1/n) rounds below 1, so the interface forcing must be
