@@ -391,6 +391,14 @@ def test_export_field_csvs_bytes_pinned(tmp_path):
     ]
 
 
+def test_export_field_csvs_bytes_pinned_fine_grid(tmp_path):
+    paths = export_field_csvs(1 / 40, str(tmp_path / "p_"))
+    assert [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths] == [
+        "e81029230dfaf3e4d34b7de974d42e72a7039a1e19f8f1daf510f25739c84b03",
+        "22fd060b3f106dad4c0bd8ebb54c2f5eb96816b9561d7e6db2f70c1417afe060",
+    ]
+
+
 # sha256 of the default tables of the scalar and 2x2 experiments; the md
 # digests cover the blocked layouts of linear-nested and scalar-nested
 SCALAR_TABLE_DIGESTS = {
@@ -410,3 +418,41 @@ SCALAR_TABLE_DIGESTS = {
 def test_scalar_tables_bytes_pinned(experiment, fmt):
     payload = emit(run_experiment(ExperimentConfig(experiment)), fmt)
     assert hashlib.sha256(payload).hexdigest() == SCALAR_TABLE_DIGESTS[experiment, fmt]
+
+
+# sha256 of the CSV tables of the Dirichlet-Neumann and Picard experiments on
+# small grids, including a relb plateau run that ends at its sweep cap
+SOLVER_TABLE_DIGESTS = {
+    "transmission-error": (
+        dict(experiment="transmission-error", dxs=[0.1]),
+        "c9e7255233bb75d5703d6f2f197e5fa5fac8756462fbedaa85d00567ca992b32",
+    ),
+    "transmission-iters": (
+        dict(experiment="transmission-iters", dxs=[0.1]),
+        "26007ff40be549f83cbce61c9788e8589811d2e377f30b7e577877faac37318f",
+    ),
+    "transmission-efficiency": (
+        dict(experiment="transmission-efficiency", dxs=[0.1]),
+        "1b88d9d47b6b244fdb151b82a3a4b8eb0b2c39958540b731dc4f356fe724b333",
+    ),
+    "picard-abs": (
+        dict(experiment="picard", criterion="abs"),
+        "084e724246d15595b8b8f4c52bb346ac29233ee587d187c54d374851ecb21982",
+    ),
+    "picard-rel": (
+        dict(experiment="picard", criterion="rel", taus=[1e-1, 1e-4]),
+        "88fa5388a9cfff69e19d0643b2f3137897131dbdfe8d8eb91f31a0e44bb8e72e",
+    ),
+    "transmission-error-relb-zero-guess": (
+        dict(experiment="transmission-error", criterion="relb", taus=[1e-1], dxs=[0.1],
+             inner_guess="zero", max_outer=300),
+        "fba641434485f60bb8340b4b86584083540e8c5a93981b8150616729587f8249",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVER_TABLE_DIGESTS))
+def test_solver_tables_bytes_pinned(case):
+    settings, digest = SOLVER_TABLE_DIGESTS[case]
+    payload = emit(run_experiment(ExperimentConfig(**settings)), "csv")
+    assert hashlib.sha256(payload).hexdigest() == digest
