@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -49,7 +49,8 @@ class FixedPointTrace:
 
     ``increments[k] = ||iterates[k+1] - iterates[k]||_2``, so there is one
     increment fewer than iterates. ``inner_reports`` holds, per outer step,
-    the solve reports of that step (empty for maps evaluated exactly).
+    the solve reports of that step (empty for maps evaluated exactly), with
+    ``None`` for their ``solution`` and ``residual_history``.
     ``residuals`` holds the per-step nonlinear residual norms of a Picard
     run, whose outer exit tests them instead of the increment (``None`` for
     other drivers). ``state`` holds a driver's final state beyond the
@@ -134,6 +135,7 @@ def _drive(step, x0, tol: float, max_iter: int, exit_test=None) -> FixedPointTra
     ``exit_test(y, inc)`` returns a Termination; the default tests inc <= tol.
     Inner stagnation is judged by the solve that produced the iterate, which
     a step lists last: it did 0 iterations and the iterate did not move.
+    The trace keeps each report without its solution and residual history.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -150,7 +152,7 @@ def _drive(step, x0, tol: float, max_iter: int, exit_test=None) -> FixedPointTra
         inc = norm2(y - x)
         iterates.append(y)
         increments.append(inc)
-        inner_reports.append(reports)
+        inner_reports.append([replace(r, solution=None, residual_history=None) for r in reports])
         x = y
         if not np.all(np.isfinite(y)) or inc > DIVERGENCE_LIMIT:
             terminated = Termination.DIVERGED

@@ -105,7 +105,8 @@ class SolveReport:
     for, ``criterion.threshold(initial_residual_norm, ||b||)``; a converged
     solve has a true final residual within ``DRIFT_GUARD_FACTOR`` of it.
     ``residual_history`` holds the per-iteration (recurrence) residual norms
-    starting from the initial one.
+    starting from the initial one. A fixed point trace keeps its reports
+    with ``None`` in ``solution`` and ``residual_history``.
 
     ``breakdown`` is ``None`` exactly when ``converged`` is true. Otherwise it
     names the reason the solve stopped short:
@@ -120,14 +121,14 @@ class SolveReport:
       either solver produced a non-finite residual.
     """
 
-    solution: np.ndarray
+    solution: np.ndarray | None
     iterations: int
     initial_residual_norm: float
     threshold: float
     final_residual_norm: float
     converged: bool
     breakdown: str | None = None
-    residual_history: list[float] = field(default_factory=list)
+    residual_history: list[float] | None = field(default_factory=list)
 
 
 def _as_apply(op):

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from inexactfp.fixedpoint import Termination
-from inexactfp.krylov import absolute, relative_to_initial
+from inexactfp.krylov import absolute, gmres_solve, relative_to_initial
 from inexactfp.linalg import norm2
 from inexactfp.problems import (
     PicardProblemSpec,
@@ -112,6 +112,17 @@ def test_max_iter_caps_outer_steps():
     assert trace.terminated_by is Termination.MAX_ITER
     assert trace.steps == 3
     assert len(trace.residuals) == 3
+
+
+def test_trace_records_carry_no_vectors():
+    trace = picard_iterate(SPEC, relative_to_initial(1e-1), tol=1e-12, max_iter=3)
+    records = [r for step in trace.inner_reports for r in step]
+    assert len(records) == 3
+    assert all(r.solution is None and r.residual_history is None for r in records)
+    A = picard_assemble(SPEC, trace.final)
+    rep = gmres_solve(A, picard_forcing(SPEC), trace.final, relative_to_initial(1e-1))
+    assert rep.solution.shape == (SPEC.n,)
+    assert len(rep.residual_history) == rep.iterations + 1
 
 
 def test_spec_validation():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from inexactfp.fixedpoint import Termination
-from inexactfp.krylov import _as_apply, absolute, cg_solve, relative_to_initial
+from inexactfp.krylov import (
+    _as_apply,
+    absolute,
+    cg_solve,
+    relative_to_initial,
+    relative_to_rhs,
+)
 from inexactfp.linalg import norm2, solve_direct
 from inexactfp.problems import (
     DnState,
@@ -258,6 +265,35 @@ def test_dn_work_counters_pinned(criterion, terminated_by, steps, cg_iterations)
     assert trace.terminated_by is terminated_by
     assert trace.steps == steps
     assert trace.total_inner_iterations == cg_iterations
+
+
+def test_dn_trace_records_carry_no_vectors():
+    sys_ = transmission_assemble(1 / 10)
+    trace = dn_iterate(sys_, absolute(1e-4), tol=1e-8)
+    records = [r for step in trace.inner_reports for r in step]
+    assert len(records) == 2 * trace.steps
+    assert all(r.solution is None and r.residual_history is None for r in records)
+    rep = cg_solve(sys_.A, sys_.b1(trace.final), np.zeros(sys_.n1), absolute(1e-4))
+    assert rep.solution.shape == (sys_.n1,)
+    assert len(rep.residual_history) == rep.iterations + 1
+
+
+def test_dn_trace_memory_per_sweep_below_one_vector():
+    # a zero-guess relb run at dx = 1/20 plateaus and runs to its sweep cap;
+    # what the trace holds per extra sweep must stay below one Omega1 vector
+    sys_ = transmission_assemble(1 / 20)
+    held = []
+    for max_iter in (100, 200):
+        tracemalloc.start()
+        try:
+            trace = dn_iterate(sys_, relative_to_rhs(1e-1), tol=1e-14,
+                               max_iter=max_iter, inner_guess="zero")
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert trace.steps == max_iter
+        del trace
+    assert (held[1] - held[0]) / 100 < sys_.n1 * 8
 
 
 @pytest.mark.parametrize("n", [2, 3, 10])
