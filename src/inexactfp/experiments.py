@@ -499,12 +499,15 @@ def _echo_config(cfg: ExperimentConfig) -> str:
 def export_field_csvs(dx: float, prefix: str) -> list[str]:
     """Write (x, y, value) CSV grids of the exact and discrete fields."""
     x, y, exact, discrete = field_grids(transmission_assemble(dx))
+    # x is constant down each column and y along each row: format each once
+    xs = [f"{xv:.6g}," for xv in x[0].tolist()]
+    ys = [f"{yv:.6g}," for yv in y[:, 0].tolist()]
     paths = []
     for which, values in (("exact", exact), ("discrete", discrete)):
         path = f"{prefix}{which}.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x,y,value\n")
-            for xv, yv, v in zip(x.ravel().tolist(), y.ravel().tolist(), values.ravel().tolist()):
-                fh.write(f"{xv:.6g},{yv:.6g},{v:.6e}\n")
+            for yp, row in zip(ys, values.tolist()):
+                fh.write("".join([f"{xp}{yp}{v:.6e}\n" for xp, v in zip(xs, row)]))
         paths.append(path)
     return paths
