@@ -135,7 +135,6 @@ def _drive(step, x0, tol: float, max_iter: int, exit_test=None) -> FixedPointTra
     ``exit_test(y, inc)`` returns a Termination; the default tests inc <= tol.
     Inner stagnation is judged by the solve that produced the iterate, which
     a step lists last: it did 0 iterations and the iterate did not move.
-    The trace keeps each report without its solution and residual history.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
