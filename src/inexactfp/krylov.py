@@ -39,6 +39,9 @@ each row in sorted column order, as CSR does, so for finite vectors its
 product has the bits of the same matrix in CSR. The one difference: DIA
 multiplies the zeros it stores by the input too, so a non-finite entry gives
 NaN in a row where CSR skips it; the residual is non-finite either way.
+CG's inner products are ``ndarray.dot``: for two vectors the BLAS ``ddot``
+that ``@`` ends in, without the matmul dispatch. GMRES keeps ``@``: on its
+basis products ``V.T @ w``, ``.dot`` takes another BLAS path and other bits.
 """
 
 from __future__ import annotations
@@ -229,13 +232,13 @@ def cg_solve(
 
     p = r.copy()
     tmp = np.empty_like(p)
-    rs = float(r @ r)
+    rs = float(r.dot(r))
     restart_res = history[0]
     a_max, floor_k = 0.0, floor(0.0)
     it = 0
     while it < max_iter:
         Ap = apply_op(p)
-        pAp = float(p @ Ap)
+        pAp = float(p.dot(Ap))
         if not math.isfinite(pAp) or pAp <= 0.0:
             return report(x, False, it, norm2(b - apply_op(x)), "indefinite or non-finite")
         alpha = rs / pAp
@@ -249,7 +252,7 @@ def cg_solve(
         x += tmp
         np.multiply(Ap, alpha, out=tmp)
         r -= tmp
-        rs_new = float(r @ r)
+        rs_new = float(r.dot(r))
         it += 1
         res = math.sqrt(rs_new)
         history.append(res)
@@ -264,7 +267,7 @@ def cg_solve(
             # recurrence drifted: restart the recursion from the true residual
             restart_res = true_res
             p = r.copy()
-            rs = float(r @ r)
+            rs = float(r.dot(r))
             continue
         p *= rs_new / rs
         p += r
@@ -304,12 +307,12 @@ def gmres_solve(
         # the Givens rotations and the rotated rhs live on Python floats: the
         # same IEEE operations as on numpy scalars, without their overhead
         cs, sn, g = [], [], [beta]
-        V[:, 0] = r / beta
+        V[:, 0] = q = r / beta
         j_used = 0
         happy = False
         satisfied = False
         for j in range(cycle):
-            w = apply_op(V[:, j])
+            w = apply_op(q)  # q is V[:, j], contiguous: the kernel copies nothing
             # classical Gram-Schmidt with one reorthogonalization pass: as
             # orthogonal as the modified variant in float64, and vectorized
             basis = V[:, : j + 1]
@@ -324,7 +327,7 @@ def gmres_solve(
                 floor_k = floor(a_max)
             happy = h[j + 1] < 1e-14 * r0_norm
             if not happy:
-                V[:, j + 1] = w / h[j + 1]
+                V[:, j + 1] = q = w / h[j + 1]
             # rotation i mixes h[i] and h[i + 1]; its second output is the
             # first input of rotation i + 1, so it is carried in hi
             hi, rotated = h[0], []

@@ -67,12 +67,14 @@ class TransmissionSystem:
     B-ordered vectors are the interface column followed by the flattened
     Omega2 block.
 
-    ``A`` is stored as DIA with ascending offsets ``-m, -1, 0, 1, m``, so
-    each row sums its terms in the column order of a sorted CSR row, and CG
-    applies it with scipy's ``dia_matvec`` kernel. The zeros stored at the
-    ends of grid rows add a signed zero to a sum that is never -0.0, so for
-    finite vectors ``A @ v`` has the bits of the CSR product; ``A.tocsr()``
-    drops those zeros again. ``B`` and ``monolithic`` are CSR.
+    All three operators are blocks of one five-point matrix, the CSR
+    ``monolithic``: ``B`` (CSR) of the interface column and Omega2,
+    interface first, and ``A`` of the Omega1 columns. ``A`` is DIA with
+    ascending offsets ``-m, -1, 0, 1, m``, so each row sums its terms in
+    the column order of a sorted CSR row, and CG applies it with scipy's
+    ``dia_matvec`` kernel. The zeros stored at the ends of grid rows add a
+    signed zero to a sum that is never -0.0, so for finite vectors
+    ``A @ v`` has the bits of the CSR product; ``A.tocsr()`` drops them.
     """
 
     dx: float
@@ -143,18 +145,17 @@ class TransmissionSystem:
         return float(np.abs(discrete - exact).max())
 
 
-def _laplacian(rows: int, cols: int) -> sp.csr_matrix:
-    """Negated five-point Laplacian without the 1/h^2 factor on a row-major
-    (rows, cols) grid of interior nodes with zero boundary values: 4 on the
-    diagonal, -1 per neighbour, no stored zeros."""
-
-    def second_difference(k):
-        return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(k, k))
-
-    L = sp.kron(sp.identity(rows), second_difference(cols), format="csr")
-    L = L + sp.kron(second_difference(rows), sp.identity(cols), format="csr")
-    L.eliminate_zeros()
-    return L
+def _five_point(rows: int, cols: int, ih2: float) -> sp.csr_matrix:
+    """ih2 times the negated five-point Laplacian on a row-major (rows, cols)
+    grid of interior nodes with zero boundary values: 4 on the diagonal, -1
+    per neighbour, each row in sorted column order, no stored zeros."""
+    k = np.arange(rows * cols).reshape(rows, cols)
+    neighbours = np.stack([k - cols, k - 1, k, k + 1, k + cols], axis=-1)
+    keep = np.ones(neighbours.shape, dtype=bool)
+    keep[0, :, 0] = keep[:, 0, 1] = keep[:, -1, 3] = keep[-1, :, 4] = False
+    data = np.broadcast_to(ih2 * np.array([-1.0, -1.0, 4.0, -1.0, -1.0]), keep.shape)[keep]
+    indptr = np.r_[0, keep.sum(axis=-1).cumsum()]
+    return sp.csr_matrix((data, neighbours[keep], indptr), shape=(k.size, k.size))
 
 
 def mesh_cells(dx: float) -> int:
@@ -180,13 +181,10 @@ def transmission_assemble(dx: float) -> TransmissionSystem:
     x[:, -1] = 1.0
     fs = default_forcing(x, y)
 
-    A = (ih2 * _laplacian(m, m)).todia()
-    # interface rows keep the full five-point stencil: a tridiagonal block
-    # along the interface and a link to the first Omega2 column i = n + 1
-    gamma = ih2 * sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(m, m))
-    link = -ih2 * sp.kron(sp.identity(m), sp.eye(1, m))
-    B = sp.bmat([[gamma, link], [link.T, A]], format="csr")
-    B.eliminate_zeros()
+    A = _five_point(m, m, ih2).todia()
+    block = np.arange(m * (m + 1)).reshape(m, m + 1)  # interface column 0
+    order = np.r_[block[:, 0], block[:, 1:].ravel()]
+    B = _five_point(m, m + 1, ih2)[order][:, order]
     B.sort_indices()
 
     return TransmissionSystem(
@@ -194,7 +192,7 @@ def transmission_assemble(dx: float) -> TransmissionSystem:
         n_cells=n,
         A=A,
         B=B,
-        monolithic=ih2 * _laplacian(m, 2 * n - 1),
+        monolithic=_five_point(m, 2 * n - 1, ih2),
         monolithic_rhs=-fs[:, :-1].ravel(),
         f_omega1=fs[:, :m].ravel(),
         f_block2=np.concatenate([fs[:, -1], fs[:, n:-1].ravel()]),

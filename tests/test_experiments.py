@@ -218,6 +218,20 @@ def test_linear_nested_zero_perturbation_sanity():
     assert all(row["error"] <= 1e-12 for row in report.rows)
 
 
+def test_cli_linear_nested_error_finite_where_its_squares_overflow(capsys):
+    # at eps 1e300 the error vector's squares pass float64's range; the row
+    # must read as the eps 1e100 row scaled, not inf (and warn nothing)
+    argv = ["--experiment", "linear-nested", "--alphas", "0.5", "--betas", "0.5"]
+    rows = []
+    for eps in ("1e100", "1e300"):
+        assert main([*argv, "--eps", eps]) == 0
+        rows.append(capsys.readouterr().out.splitlines()[1])
+    assert rows == [
+        "1.000e+100,5.000e-01,5.000e-01,2.000e+100,1.276e+100,1",
+        "1.000e+300,5.000e-01,5.000e-01,2.000e+300,1.276e+300,1",
+    ]
+
+
 def test_picard_report_qualitative_flag():
     cfg = ExperimentConfig(experiment="picard", criterion="rel", taus=[1e-1])
     report = run_experiment(cfg)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -42,6 +44,21 @@ def _norm2_cases():
 @pytest.mark.parametrize("x", list(_norm2_cases()), ids=lambda x: f"{x.size}-{x.strides[0]}")
 def test_norm2_bitwise_equal_to_numpy(x):
     assert np.float64(norm2(x)).tobytes() == np.linalg.norm(x).tobytes()
+
+
+def test_norm2_squares_overflow():
+    # the squares pass float64's range although the norm is far inside it
+    assert norm2(np.array([1e200, 1e200])) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert norm2(np.array([-1e300, 0.0])) == 1e300
+    assert norm2(np.full(4, 1.7e308)) == math.inf  # the norm itself overflows
+
+
+def test_norm2_squares_underflow():
+    # a nonzero vector whose squares all round to zero has a nonzero norm
+    assert norm2(np.array([1e-200])) == 1e-200
+    assert norm2(np.array([3e-200, 4e-200])) == pytest.approx(5e-200, rel=1e-15)
+    assert norm2(np.array([5e-324, 0.0])) == 5e-324
+    assert norm2(np.zeros(3)) == 0.0
 
 
 def test_solve_direct_identity():

@@ -220,18 +220,25 @@ def test_assemble_rejects_bad_dx():
 
 
 # at n = 49, n * (1/n) rounds below 1, so the interface forcing must be
-# sampled at x = 1 itself
-@pytest.mark.parametrize("n", [2, 3, 4, 10, 49])
+# sampled at x = 1 itself; n = 20 and 40 are the grids the benchmark runs
+@pytest.mark.parametrize("n", [2, 3, 4, 10, 20, 40, 49])
 def test_stencil_matches_per_node_reference(n):
     sys_ = transmission_assemble(1.0 / n)
     ref = per_node_reference(n, lambda x, y: float(default_forcing(x, y)))
     for name in ("A", "B", "monolithic"):
         got, want = getattr(sys_, name).tocsr(), ref[name]
         assert got.shape == want.shape, name
-        # same CSR arrays: sorted column indices and no stored zeros (A is
-        # DIA; its conversion drops the zeros stored at the grid row ends)
+        # same CSR arrays and index dtypes: sorted column indices and no
+        # stored zeros (A is DIA; its conversion drops the zeros stored at
+        # the grid row ends)
         for part in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(got, part), getattr(want, part), err_msg=name)
+            assert getattr(got, part).dtype == getattr(want, part).dtype, (name, part)
+    # A's diagonals, stored zeros included, are those of the reference's DIA
+    want = ref["A"].todia()
+    for part in ("offsets", "data"):
+        got_part, want_part = getattr(sys_.A, part), getattr(want, part)
+        assert got_part.dtype == want_part.dtype and got_part.tobytes() == want_part.tobytes()
     for name in ("f_omega1", "f_block2", "monolithic_rhs"):
         np.testing.assert_array_equal(getattr(sys_, name), ref[name], err_msg=name)
 
