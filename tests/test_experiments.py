@@ -220,16 +220,15 @@ def test_linear_nested_zero_perturbation_sanity():
 
 def test_cli_linear_nested_error_finite_where_its_squares_overflow(capsys):
     # at eps 1e300 the error vector's squares pass float64's range; the row
-    # must read as the eps 1e100 row scaled, not inf (and warn nothing)
+    # must read as the eps 1e100 row scaled by 1e200, not inf, and warn nothing
     argv = ["--experiment", "linear-nested", "--alphas", "0.5", "--betas", "0.5"]
     rows = []
     for eps in ("1e100", "1e300"):
         assert main([*argv, "--eps", eps]) == 0
-        rows.append(capsys.readouterr().out.splitlines()[1])
-    assert rows == [
-        "1.000e+100,5.000e-01,5.000e-01,2.000e+100,1.276e+100,1",
-        "1.000e+300,5.000e-01,5.000e-01,2.000e+300,1.276e+300,1",
-    ]
+        rows.append(next(csv.DictReader(io.StringIO(capsys.readouterr().out))))
+    low, high = rows
+    assert float(high["error"]) == pytest.approx(1e200 * float(low["error"]), rel=1e-3)
+    assert high["outer_iterations"] == low["outer_iterations"]
 
 
 def test_picard_report_qualitative_flag():
