@@ -131,8 +131,9 @@ def _as_state(x) -> np.ndarray:
 def _drive(step, x0, tol: float, max_iter: int, exit_test=None) -> FixedPointTrace:
     """The outer loop of every driver: step(x, k) -> (next iterate, reports).
 
-    Each step exits on divergence, then on inner stagnation, then when
-    ``exit_test(y, inc)`` returns a Termination; the default tests inc <= tol.
+    Each step exits on divergence (inc > DIVERGENCE_LIMIT * max(1, first inc)),
+    then on inner stagnation, then when ``exit_test(y, inc)`` returns a
+    Termination; the default tests inc <= tol.
     Inner stagnation is judged by the solve that produced the iterate, which
     a step lists last: it did 0 iterations and the iterate did not move.
     """
@@ -153,7 +154,7 @@ def _drive(step, x0, tol: float, max_iter: int, exit_test=None) -> FixedPointTra
         increments.append(inc)
         inner_reports.append([replace(r, solution=None, residual_history=None) for r in reports])
         x = y
-        if not np.all(np.isfinite(y)) or inc > DIVERGENCE_LIMIT:
+        if not np.all(np.isfinite(y)) or inc > DIVERGENCE_LIMIT * max(1.0, increments[0]):
             terminated = Termination.DIVERGED
             break
         if inc == 0.0 and reports and reports[-1].iterations == 0:

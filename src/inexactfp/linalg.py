@@ -2,7 +2,9 @@
 
 Vectors are 1-d float64 numpy arrays, dense matrices 2-d arrays, sparse
 matrices scipy CSR. ``solve_direct`` is the small-system oracle used to
-cross-check the iterative solvers; it never appears inside them.
+cross-check the iterative solvers; it never appears inside them, so it imports
+``scipy.linalg``/``scipy.sparse.linalg`` on first use: runs that never solve
+directly (Picard, the scalar maps) skip their import time and memory.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 
 class DimensionMismatchError(ValueError):
@@ -69,6 +69,8 @@ def solve_direct(M, b: np.ndarray) -> np.ndarray:
 
 
 def _solve_dense(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    from scipy.linalg import lapack
+
     if M.shape[0] == 0:
         return b.copy()
     lu, piv, _ = lapack.dgetrf(M)
@@ -81,6 +83,8 @@ def _solve_dense(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _solve_sparse(M, b: np.ndarray) -> np.ndarray:
+    import scipy.sparse.linalg as spla
+
     try:
         lu = spla.splu(sp.csc_matrix(M))
     except RuntimeError as exc:  # SuperLU reports "singular" without an index

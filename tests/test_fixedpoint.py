@@ -67,6 +67,27 @@ def test_plain_divergence_flagged():
     assert trace.terminated_by is Termination.DIVERGED
 
 
+def test_divergence_judged_against_the_first_increment():
+    # a first increment of 1e20 sets the run's scale; geometric growth from
+    # there is still stopped, by the growth test before any overflow
+    trace = iterate_plain(lambda x: 10.0 * x + 1e20, 0.0, tol=1e-14, max_iter=200)
+    assert trace.terminated_by is Termination.DIVERGED
+    assert trace.increments[0] == 1e20
+    assert 1 < trace.steps < 200
+    assert np.all(np.isfinite(trace.final))
+
+
+def test_large_constant_perturbation_is_not_divergence():
+    # the eps 1e100 row of linear-nested: a contraction whose first increment
+    # is far above DIVERGENCE_LIMIT runs to its increment exit
+    problem = linear_nested(0.5, 0.5)
+    sched = PerturbationSchedule.constant(1e100)
+    trace = iterate_nested(problem.S, problem.F, sched, sched, np.zeros(2), tol=1e-14)
+    assert trace.terminated_by is Termination.INCREMENT_BELOW_TOL
+    assert trace.steps > 1
+    assert norm2(trace.final - problem.x_star) <= bound_nested(1e100, 1e100, 0.5, 0.5)
+
+
 # the per-step contraction inequality carries a 1e-8 relative slack, so it
 # is only checkable while increments sit well above the ~1e-15 noise floor;
 # tol=1e-7 keeps every tested increment meaningful.

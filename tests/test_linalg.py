@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+import inexactfp
 from inexactfp.linalg import (
     DimensionMismatchError,
     SingularMatrixError,
@@ -118,3 +124,40 @@ def test_solve_direct_nested_lists():
     assert_allclose(solve_direct([[2, 1], [1, 3]], [1, 2]), [0.2, 0.6], rtol=1e-15)
     with pytest.raises(DimensionMismatchError):
         solve_direct([[1, 2, 3], [4, 5, 6]], [1, 2])
+
+
+_LAZY_SOLVERS_SCRIPT = textwrap.dedent("""
+    import sys
+
+    import numpy as np
+    import scipy.sparse as sp
+
+    from inexactfp.experiments import ExperimentConfig, run_experiment
+    from inexactfp.linalg import SingularMatrixError, solve_direct
+
+    run_experiment(ExperimentConfig(experiment="picard", taus=[1e-1]))
+    run_experiment(ExperimentConfig(experiment="scalar-direct", gammas=[0.3]))
+    loaded = [m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules]
+    assert not loaded, loaded
+
+    M = np.array([[2.0, 1.0], [1.0, 3.0]])
+    for A in (M, sp.csr_matrix(M)):
+        assert np.allclose(solve_direct(A, np.array([1.0, 2.0])), [0.2, 0.6])
+        try:
+            solve_direct(0.0 * A, np.ones(2))
+        except SingularMatrixError:
+            pass
+        else:
+            raise AssertionError(f"no SingularMatrixError from {type(A).__name__}")
+""")
+
+
+def test_direct_solvers_load_on_first_direct_solve():
+    # pytest has loaded scipy.linalg already, so this runs in a fresh interpreter
+    src = str(Path(inexactfp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", _LAZY_SOLVERS_SCRIPT], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
