@@ -231,15 +231,6 @@ def test_cli_linear_nested_error_finite_where_its_squares_overflow(capsys):
     assert high["outer_iterations"] == low["outer_iterations"]
 
 
-def test_linear_nested_row_with_eps_above_divergence_limit():
-    cfg = ExperimentConfig(
-        experiment="linear-nested", alphas=[0.5], betas=[0.5], eps_values=[1e100]
-    )
-    row = run_experiment(cfg).rows[0]
-    assert row["outer_iterations"] > 1
-    assert row["error"] <= row["bound"]
-
-
 def test_picard_report_qualitative_flag():
     cfg = ExperimentConfig(experiment="picard", criterion="rel", taus=[1e-1])
     report = run_experiment(cfg)

@@ -78,8 +78,8 @@ def test_divergence_judged_against_the_first_increment():
 
 
 def test_large_constant_perturbation_is_not_divergence():
-    # the eps 1e100 row of linear-nested: a contraction whose first increment
-    # is far above DIVERGENCE_LIMIT runs to its increment exit
+    # the run behind `linear-nested --alphas 0.5 --betas 0.5 --eps 1e100`: a
+    # contraction whose first increment is far above DIVERGENCE_LIMIT
     problem = linear_nested(0.5, 0.5)
     sched = PerturbationSchedule.constant(1e100)
     trace = iterate_nested(problem.S, problem.F, sched, sched, np.zeros(2), tol=1e-14)

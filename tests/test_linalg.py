@@ -158,6 +158,7 @@ def test_direct_solvers_load_on_first_direct_solve():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, "-c", _LAZY_SOLVERS_SCRIPT], env=env, capture_output=True, text=True
+        [sys.executable, "-c", _LAZY_SOLVERS_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
