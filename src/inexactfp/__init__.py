@@ -18,7 +18,7 @@ from .fixedpoint import (
     iterate_plain,
 )
 from .krylov import (
-    CriterionKind,
+    CRITERION_LABELS,
     SolveReport,
     TerminationCriterion,
     absolute,
@@ -37,7 +37,7 @@ from .linalg import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CriterionKind",
+    "CRITERION_LABELS",
     "DimensionMismatchError",
     "FixedPointTrace",
     "NotAContractionError",

@@ -27,7 +27,7 @@ from .fixedpoint import (
     iterate_perturbed,
     iterate_plain,
 )
-from .krylov import absolute, relative_to_initial, relative_to_rhs
+from .krylov import CRITERION_LABELS, TerminationCriterion
 from .linalg import norm2
 from .problems import (
     PicardProblemSpec,
@@ -42,10 +42,6 @@ from .problems import (
     transmission_assemble,
 )
 from .problems.transmission import mesh_cells
-
-_CRITERIA = {"rel": relative_to_initial, "relb": relative_to_rhs, "abs": absolute}
-CRITERION_LABELS = tuple(_CRITERIA)
-
 
 class UsageError(ValueError):
     """Invalid experiment configuration."""
@@ -372,7 +368,7 @@ def _run_picard(cfg: ExperimentConfig) -> TableReport:
         taus = _PICARD_DEFAULT_TAUS[label] if cfg.taus is None else cfg.taus
         for tau in taus:
             trace = picard_iterate(
-                spec, _CRITERIA[label](tau), tol=cfg.tol, max_iter=cfg.max_outer
+                spec, TerminationCriterion(label, tau), tol=cfg.tol, max_iter=cfg.max_outer
             )
             rows.append({
                 "criterion": label,
@@ -397,7 +393,7 @@ def _transmission_runs(cfg, dx, sys_, criteria_taus, tol):
     ``sys_``, the system assembled for mesh width ``dx``."""
     for label, tau in criteria_taus:
         trace = dn_iterate(
-            sys_, _CRITERIA[label](tau), tol=tol, max_iter=cfg.max_outer,
+            sys_, TerminationCriterion(label, tau), tol=tol, max_iter=cfg.max_outer,
             inner_guess=cfg.inner_guess,
         )
         err_gamma, err_full = solution_errors(sys_, trace.state)

@@ -45,10 +45,9 @@ class NotAContractionError(ValueError):
 
 @dataclass
 class FixedPointTrace:
-    """Full history of one outer iteration run.
+    """History of one outer iteration run and its last iterate ``final``.
 
-    ``increments[k] = ||iterates[k+1] - iterates[k]||_2``, so there is one
-    increment fewer than iterates. ``inner_reports`` holds, per outer step,
+    ``increments[k] = ||x^{k+1} - x^k||_2``, one per step. ``inner_reports`` holds, per outer step,
     the solve reports of that step (empty for maps evaluated exactly), with
     ``None`` for their ``solution`` and ``residual_history``.
     ``residuals`` holds the per-step nonlinear residual norms of a Picard
@@ -58,16 +57,12 @@ class FixedPointTrace:
     run).
     """
 
-    iterates: list[np.ndarray]
+    final: np.ndarray
     increments: list[float]
     inner_reports: list[list[SolveReport]]
     terminated_by: Termination
     residuals: list[float] | None = None
     state: object | None = None
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.iterates[-1]
 
     @property
     def steps(self) -> int:
@@ -143,14 +138,12 @@ def _drive(step, x0, tol: float, max_iter: int, exit_test=None) -> FixedPointTra
         def exit_test(y, inc):
             return Termination.INCREMENT_BELOW_TOL if inc <= tol else None
     x = _as_state(x0)
-    iterates = [x]
     increments: list[float] = []
     inner_reports: list[list[SolveReport]] = []
     terminated = Termination.MAX_ITER
     for k in range(max_iter):
         y, reports = step(x, k)
         inc = norm2(y - x)
-        iterates.append(y)
         increments.append(inc)
         inner_reports.append([replace(r, solution=None, residual_history=None) for r in reports])
         x = y
@@ -164,7 +157,7 @@ def _drive(step, x0, tol: float, max_iter: int, exit_test=None) -> FixedPointTra
         if verdict is not None:
             terminated = verdict
             break
-    return FixedPointTrace(iterates, increments, inner_reports, terminated)
+    return FixedPointTrace(x, increments, inner_reports, terminated)
 
 
 def iterate_plain(

@@ -8,9 +8,9 @@ norms, the threshold the verdict used and the iteration count.
 
 Criteria, for the linear system A x = b with initial guess x0:
 
-* relative to initial residual:  ||b - A x|| <= tau * ||b - A x0||
-* relative to rhs:               ||b - A x|| <= tau * ||b||
-* absolute:                      ||b - A x|| <= tau
+* "rel", relative to initial residual:  ||b - A x|| <= tau * ||b - A x0||
+* "relb", relative to rhs:              ||b - A x|| <= tau * ||b||
+* "abs", absolute:                      ||b - A x|| <= tau
 
 All inequalities are inclusive, so a zero rhs under the rhs-relative rule
 asks for an exact zero residual. The true residual is recomputed once the
@@ -46,7 +46,6 @@ basis products ``V.T @ w``, ``.dot`` takes another BLAS path and other bits.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -61,42 +60,41 @@ EPS_MACH = float(np.finfo(float).eps)
 RESTART_PROGRESS_FACTOR = 0.5
 
 
-class CriterionKind(enum.Enum):
-    RELATIVE_TO_INITIAL_RESIDUAL = "relative_to_initial_residual"
-    RELATIVE_TO_RHS = "relative_to_rhs"
-    ABSOLUTE = "absolute"
+CRITERION_LABELS = ("rel", "relb", "abs")
 
 
 @dataclass(frozen=True)
 class TerminationCriterion:
-    """One of the three inner stopping rules with its tolerance."""
+    """One of the three inner stopping rules, named by its label, with its tolerance."""
 
-    kind: CriterionKind
+    kind: str
     tolerance: float
 
     def __post_init__(self):
+        if self.kind not in CRITERION_LABELS:
+            raise ValueError(f"unknown criterion {self.kind!r}; expected one of {CRITERION_LABELS}")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
     def threshold(self, initial_residual_norm: float, rhs_norm: float) -> float:
         """The residual norm the criterion compares against."""
-        if self.kind is CriterionKind.RELATIVE_TO_INITIAL_RESIDUAL:
+        if self.kind == "rel":
             return self.tolerance * initial_residual_norm
-        if self.kind is CriterionKind.RELATIVE_TO_RHS:
+        if self.kind == "relb":
             return self.tolerance * rhs_norm
         return self.tolerance
 
 
 def relative_to_initial(tau: float) -> TerminationCriterion:
-    return TerminationCriterion(CriterionKind.RELATIVE_TO_INITIAL_RESIDUAL, tau)
+    return TerminationCriterion("rel", tau)
 
 
 def relative_to_rhs(tau: float) -> TerminationCriterion:
-    return TerminationCriterion(CriterionKind.RELATIVE_TO_RHS, tau)
+    return TerminationCriterion("relb", tau)
 
 
 def absolute(tau: float) -> TerminationCriterion:
-    return TerminationCriterion(CriterionKind.ABSOLUTE, tau)
+    return TerminationCriterion("abs", tau)
 
 
 @dataclass

@@ -126,9 +126,6 @@ class TransmissionSystem:
             self._monolithic_solution = solve_direct(self.monolithic, self.monolithic_rhs)
         return self._monolithic_solution
 
-    def monolithic_interface(self) -> np.ndarray:
-        return self.grid(self.monolithic_solution())[:, self.interface_count].copy()
-
     def assemble_full(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
         """Stack subdomain solutions into monolithic ordering."""
         m = self.interface_count
@@ -201,23 +198,19 @@ def transmission_assemble(dx: float) -> TransmissionSystem:
 
 @dataclass
 class DnState:
-    """Interface values plus both subdomain solutions of the last sweep.
+    """Both subdomain solutions of the last sweep; the interface values are
+    ``u2[:interface_count]``.
 
     The subdomain solutions serve double duty: initial guesses for the next
     inner solves and the coupling data for the Neumann block.
     """
 
-    u_gamma: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
 
     @classmethod
     def zeros(cls, sys: TransmissionSystem) -> "DnState":
-        return cls(
-            u_gamma=np.zeros(sys.interface_count),
-            u1=np.zeros(sys.n1),
-            u2=np.zeros(sys.n2),
-        )
+        return cls(u1=np.zeros(sys.n1), u2=np.zeros(sys.n2))
 
     @classmethod
     def from_monolithic(cls, sys: TransmissionSystem) -> "DnState":
@@ -225,7 +218,6 @@ class DnState:
         u = sys.grid(sys.monolithic_solution())
         m = sys.interface_count
         return cls(
-            u_gamma=sys.monolithic_interface(),
             u1=u[:, :m].flatten(),
             u2=np.concatenate([u[:, m], u[:, m + 1:].ravel()]),
         )
@@ -241,26 +233,22 @@ def dn_step(
 
     Solves the Dirichlet block for the current interface values, the Neumann
     block with the coupling column of the previous sweep's Omega1 solution,
-    and returns the interface part of the Neumann solution as the new
-    interface iterate. ``inner_guess`` starts each inner solve from the
+    and returns both solutions: the interface part of the Neumann solution
+    is the new interface iterate. ``inner_guess`` starts each inner solve from the
     previous sweep's solution ("previous") or from zero ("zero").
     """
     if inner_guess not in ("previous", "zero"):
         raise ValueError(f"inner_guess must be 'previous' or 'zero', got {inner_guess!r}")
     cap = 4 * sys.n2
     x0_1 = state.u1 if inner_guess == "previous" else np.zeros(sys.n1)
-    rep1 = cg_solve(sys.A, sys.b1(state.u_gamma), x0=x0_1, criterion=criterion, max_iter=cap)
+    u_gamma = state.u2[: sys.interface_count]
+    rep1 = cg_solve(sys.A, sys.b1(u_gamma), x0=x0_1, criterion=criterion, max_iter=cap)
 
     coupling = sys.coupling_column(state.u1)  # previous sweep's solution
     x0_2 = state.u2 if inner_guess == "previous" else np.zeros(sys.n2)
     rep2 = cg_solve(sys.B, sys.b2(coupling), x0=x0_2, criterion=criterion, max_iter=cap)
 
-    new_state = DnState(
-        u_gamma=rep2.solution[: sys.interface_count].copy(),
-        u1=rep1.solution,
-        u2=rep2.solution,
-    )
-    return new_state, (rep1, rep2)
+    return DnState(u1=rep1.solution, u2=rep2.solution), (rep1, rep2)
 
 
 def dn_iterate(
@@ -274,23 +262,22 @@ def dn_iterate(
     drops below ``tol``; the trace records both solve reports per sweep, the
     Neumann solve's last: it produces the iterate, so it decides stagnation."""
     state = DnState.zeros(sys)
+    m = sys.interface_count
 
     def step(u_gamma, k):
         nonlocal state
         state, reports = dn_step(sys, state, criterion, inner_guess)
-        return state.u_gamma, list(reports)
+        return state.u2[:m], list(reports)
 
-    trace = _drive(step, state.u_gamma, tol, max_iter)
+    trace = _drive(step, state.u2[:m], tol, max_iter)
     trace.state = state
     return trace
 
 
 def solution_errors(sys: TransmissionSystem, state: DnState) -> tuple[float, float]:
     """(interface error, full-domain error) against the monolithic solution."""
-    u_mono = sys.monolithic_solution()
-    err_gamma = norm2(state.u_gamma - sys.monolithic_interface())
-    full = sys.assemble_full(state.u1, state.u2)
-    return err_gamma, norm2(full - u_mono)
+    diff = sys.assemble_full(state.u1, state.u2) - sys.monolithic_solution()
+    return norm2(sys.grid(diff)[:, sys.interface_count]), norm2(diff)
 
 
 def field_grids(sys: TransmissionSystem):

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from inexactfp.krylov import (
     DRIFT_GUARD_FACTOR,
-    CriterionKind,
     TerminationCriterion,
     _as_apply,
     absolute,
@@ -43,7 +42,19 @@ def test_criterion_threshold(criterion, current, r0, rhs, satisfied):
 
 def test_criterion_rejects_nonpositive_tolerance():
     with pytest.raises(ValueError):
-        TerminationCriterion(CriterionKind.ABSOLUTE, 0.0)
+        TerminationCriterion("abs", 0.0)
+
+
+@pytest.mark.parametrize("kind", ["relative", "REL", "absolute", "", None])
+def test_criterion_rejects_unknown_kind(kind):
+    with pytest.raises(ValueError, match="unknown criterion"):
+        TerminationCriterion(kind, 0.1)
+
+
+def test_criterion_kind_is_its_label():
+    assert [relative_to_initial(0.1).kind, relative_to_rhs(0.1).kind, absolute(0.1).kind] == [
+        "rel", "relb", "abs"]
+    assert relative_to_rhs(0.1) == TerminationCriterion("relb", 0.1)
 
 
 # ---------------------------------------------------------------------------
