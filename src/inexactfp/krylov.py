@@ -285,17 +285,18 @@ def gmres_solve(
     The Krylov space grows up to n; it is rebuilt only from the true
     residual after recurrence drift. The per-iteration residual norm comes
     for free from the rotated right-hand side. Happy breakdown (Arnoldi norm
-    below 1e-14 of the initial residual) means the Krylov space contains the
-    exact solution in exact arithmetic; in float64 the true residual still
-    decides whether the solve converged. ``a`` of the floor is the largest
-    ``|h_jj|`` so far.
+    at most 1e-14 of the largest Hessenberg entry ``|h_ij|`` so far, a scale
+    of the operator, not of the residual) means the Krylov space contains
+    the exact solution in exact arithmetic; in float64 the true residual
+    still decides whether the solve converged. ``a`` of the floor is the
+    largest ``|h_jj|`` so far.
     """
     apply_op, b, x, r, history, threshold, floor, report, done = _start(op, b, x0, criterion)
     if done is not None:
         return done
     n = b.shape[0]
-    r0_norm = restart_res = history[0]
-    a_max, floor_k = 0.0, floor(0.0)
+    restart_res = history[0]
+    a_max, floor_k, h_max = 0.0, floor(0.0), 0.0
     total_it = 0
     while total_it < max_iter:
         cycle = min(n, max_iter - total_it)
@@ -323,7 +324,8 @@ def gmres_solve(
             if abs(h[j]) > a_max:
                 a_max = abs(h[j])
                 floor_k = floor(a_max)
-            happy = h[j + 1] < 1e-14 * r0_norm
+            h_max = max(h_max, max(map(abs, h)))
+            happy = h[j + 1] <= 1e-14 * h_max
             if not happy:
                 V[:, j + 1] = q = w / h[j + 1]
             # rotation i mixes h[i] and h[i + 1]; its second output is the

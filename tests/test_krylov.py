@@ -306,6 +306,20 @@ def test_gmres_residual_monotone():
         assert all(h[i + 1] <= h[i] * (1 + 1e-12) for i in range(len(h) - 1))
 
 
+@pytest.mark.parametrize("scale_A, scale_b", [(1.0, 1e14), (1.0, 1e16), (1e-15, 1.0)])
+def test_gmres_happy_breakdown_is_scale_invariant(scale_A, scale_b):
+    # the Arnoldi norm is compared with the operator's scale: scaling the
+    # rhs or the operator must not end the solve early at a loose residual
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(30, 30)) + 30 * np.eye(30)
+    b = rng.normal(size=30)
+    plain = gmres_solve(A, b, np.zeros(30), relative_to_initial(1e-8))
+    rep = gmres_solve(scale_A * A, scale_b * b, np.zeros(30), relative_to_initial(1e-8))
+    assert plain.converged and plain.iterations == 10
+    assert rep.converged and rep.iterations == 10
+    assert rep.final_residual_norm <= 1e-8 * rep.initial_residual_norm
+
+
 def test_gmres_max_iter_reports_not_converged():
     A = laplacian_1d(50)
     rep = gmres_solve(A, np.ones(50), np.zeros(50), absolute(1e-14), max_iter=3)
@@ -429,3 +443,20 @@ def test_floor_exit_is_honest_property(solver, system, exponent):
     assert (other.iterations, other.final_residual_norm, other.breakdown,
             other.residual_history) == (rep.iterations, rep.final_residual_norm,
                                         rep.breakdown, rep.residual_history)
+
+
+@pytest.mark.parametrize("solver", SOLVERS, ids=["cg", "gmres"])
+@settings(max_examples=40, deadline=None, database=None)
+@given(system=spd_tridiagonal_systems(), k=st.integers(-60, 60),
+       make=st.sampled_from([relative_to_initial, relative_to_rhs]),
+       exponent=st.floats(-12.0, 0.0))
+def test_power_of_two_scaling_property(solver, system, k, make, exponent):
+    # under a relative rule every quantity a solve compares scales with b and
+    # x0, and a power of two scales without rounding: the solve must too
+    A, b, x0 = system
+    criterion = make(10.0**exponent)
+    rep = solver(A, b, x0, criterion)
+    scaled = solver(A, b * 2.0**k, x0 * 2.0**k, criterion)
+    assert scaled.solution.tobytes() == (rep.solution * 2.0**k).tobytes()
+    assert (scaled.iterations, scaled.converged, scaled.breakdown) == (
+        rep.iterations, rep.converged, rep.breakdown)
