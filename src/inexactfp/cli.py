@@ -105,6 +105,8 @@ def read_config_file(path: str) -> dict:
         if name not in _KEYS_BY_FLAG:
             raise UsageError(f"{path}:{lineno}: unknown key {name!r}")
         key = _KEYS_BY_FLAG[name]
+        if key.field in values:
+            raise UsageError(f"{path}:{lineno}: duplicate key {name!r}")
         values[key.field] = _parse_value(key, value, f"{path}:{lineno}: {name}")
     return values
 
@@ -139,11 +141,13 @@ def _merge_config(args) -> ExperimentConfig:
 
 def _run_acceptance_command(args) -> int:
     ids = None
-    if args.criteria:
+    if args.criteria is not None:
         ids = [c.strip().upper() for c in args.criteria.split(",") if c.strip()]
         unknown = [c for c in ids if c not in ALL_CHECKS]
         if unknown:
             raise UsageError(f"unknown acceptance criteria: {unknown}")
+        if not ids or len(set(ids)) < len(ids):
+            raise UsageError(f"--criteria must name distinct criterion ids, got {args.criteria!r}")
     results, ok = run_acceptance(ids)
     for result in results:
         print(f"{result.criterion:4s} {'PASS' if result.passed else 'FAIL'}  {result.title}")

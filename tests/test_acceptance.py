@@ -116,6 +116,16 @@ def test_cli_run_acceptance_failure_prints_details(capsys):
     assert "acceptance: 0/1 criteria passed" in out
 
 
+@pytest.mark.parametrize("criteria", [",", "", "A3,A3", "a3, A3"])
+def test_cli_run_acceptance_empty_or_repeated_criteria(criteria, capsys):
+    # neither runs every check nor one check twice: both are usage errors
+    assert main(["--run-acceptance", "--criteria", criteria]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --criteria must name distinct criterion ids, got {criteria!r}\n")
+
+
 def test_cli_run_acceptance_unknown_criterion(capsys):
     assert main(["--run-acceptance", "--criteria", "A99"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -355,6 +355,16 @@ def test_config_file_rejects_unknown_key(tmp_path):
         read_config_file(str(cfg_file))
 
 
+def test_config_file_rejects_duplicate_key(tmp_path, capsys):
+    # a later line must not silently replace an earlier one; flags still win
+    cfg_file = tmp_path / "dup.cfg"
+    cfg_file.write_text("experiment=scalar-direct\n# comment\nexperiment=picard\n")
+    with pytest.raises(UsageError, match=r"dup\.cfg:3: duplicate key 'experiment'"):
+        read_config_file(str(cfg_file))
+    assert main(["--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg_file}:3: duplicate key 'experiment'\n"
+
+
 def test_cli_export_fields(tmp_path):
     prefix = str(tmp_path / "field_")
     code = main([
