@@ -285,7 +285,7 @@ def gmres_solve(
     The Krylov space grows up to n; it is rebuilt only from the true
     residual after recurrence drift. The per-iteration residual norm comes
     for free from the rotated right-hand side. Happy breakdown (Arnoldi norm
-    at most 1e-14 of the largest Hessenberg entry ``|h_ij|`` so far, a scale
+    at most 1e-14 of the largest ``|h_jj|`` or ``h_{j+1,j}`` so far, a scale
     of the operator, not of the residual) means the Krylov space contains
     the exact solution in exact arithmetic; in float64 the true residual
     still decides whether the solve converged. ``a`` of the floor is the
@@ -324,7 +324,7 @@ def gmres_solve(
             if abs(h[j]) > a_max:
                 a_max = abs(h[j])
                 floor_k = floor(a_max)
-            h_max = max(h_max, max(map(abs, h)))
+            h_max = max(h_max, a_max, h[j + 1])
             happy = h[j + 1] <= 1e-14 * h_max
             if not happy:
                 V[:, j + 1] = q = w / h[j + 1]
