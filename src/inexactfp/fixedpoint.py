@@ -47,9 +47,10 @@ class NotAContractionError(ValueError):
 class FixedPointTrace:
     """History of one outer iteration run and its last iterate ``final``.
 
-    ``increments[k] = ||x^{k+1} - x^k||_2``, one per step. ``inner_reports`` holds, per outer step,
-    the solve reports of that step (empty for maps evaluated exactly), with
-    ``None`` for their ``solution`` and ``residual_history``.
+    ``increments[k] = ||x^{k+1} - x^k||_2``, one per step. ``inner_reports``
+    holds, per outer step, the solve reports of that step (empty for maps
+    evaluated exactly), with ``None`` for their ``solution`` and
+    ``residual_history``.
     ``residuals`` holds the per-step nonlinear residual norms of a Picard
     run, whose outer exit tests them instead of the increment (``None`` for
     other drivers). ``state`` holds a driver's final state beyond the
