@@ -21,11 +21,8 @@ from .krylov import (
     CRITERION_LABELS,
     SolveReport,
     TerminationCriterion,
-    absolute,
     cg_solve,
     gmres_solve,
-    relative_to_initial,
-    relative_to_rhs,
 )
 from .linalg import (
     DimensionMismatchError,
@@ -46,7 +43,6 @@ __all__ = [
     "SolveReport",
     "Termination",
     "TerminationCriterion",
-    "absolute",
     "bound_direct",
     "bound_nested",
     "cg_solve",
@@ -55,8 +51,6 @@ __all__ = [
     "iterate_perturbed",
     "iterate_plain",
     "norm2",
-    "relative_to_initial",
-    "relative_to_rhs",
     "solve_direct",
     "__version__",
 ]

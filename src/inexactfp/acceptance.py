@@ -16,7 +16,7 @@ import numpy as np
 
 from .experiments import ExperimentConfig, run_experiment
 from .fixedpoint import Termination, bound_nested
-from .krylov import DRIFT_GUARD_FACTOR, absolute, cg_solve, gmres_solve, relative_to_initial
+from .krylov import DRIFT_GUARD_FACTOR, TerminationCriterion, cg_solve, gmres_solve
 from .linalg import norm2, solve_direct
 from .problems import transmission_assemble
 
@@ -109,11 +109,8 @@ TRANSMISSION_OUTER_REFERENCE = 105  # dx = 1/10, initial-residual-relative
 class CheckResult:
     criterion: str
     title: str
-    passed: bool
+    passed: bool = True
     details: list[str] = field(default_factory=list)
-
-    def line(self, text: str):
-        self.details.append(text)
 
     def require(self, ok: bool, text: str):
         if not ok:
@@ -134,7 +131,7 @@ def _rows(experiment: str, **grid) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def check_a1() -> CheckResult:
-    res = CheckResult("A1", "scalar direct perturbation vs reference table", True)
+    res = CheckResult("A1", "scalar direct perturbation vs reference table")
     rows = _rows("scalar-direct", gammas=list(SCALAR_DIRECT_REFERENCE),
                  eps_values=[1e-1, 1e-2, 1e-3])
     for row in rows:
@@ -150,7 +147,7 @@ def check_a1() -> CheckResult:
 
 
 def check_a2() -> CheckResult:
-    res = CheckResult("A2", "adaptive schedules reach machine-level error", True)
+    res = CheckResult("A2", "adaptive schedules reach machine-level error")
     for row in _rows("scalar-adaptive"):
         res.require(row["error"] <= 1e-12,
                     f"{row['problem']}: |x-x*|={row['error']:.2e} <= 1e-12")
@@ -158,7 +155,7 @@ def check_a2() -> CheckResult:
 
 
 def check_a3() -> CheckResult:
-    res = CheckResult("A3", "nested bound values vs reference estimates", True)
+    res = CheckResult("A3", "nested bound values vs reference estimates")
     for eps in NESTED_EPS_VALUES:
         for (alpha, beta), base in LINEAR_NESTED_BOUND_REFERENCE.items():
             expected = base * (eps / 1e-1)
@@ -171,7 +168,7 @@ def check_a3() -> CheckResult:
 
 
 def check_a4() -> CheckResult:
-    res = CheckResult("A4", "nested measured errors (all-ones direction)", True)
+    res = CheckResult("A4", "nested measured errors (all-ones direction)")
     for row in _rows("linear-nested", eps_values=list(NESTED_EPS_VALUES)):
         eps, alpha, beta = row["eps"], row["alpha"], row["beta"]
         expected = LINEAR_NESTED_MEASURED_BASE[alpha, beta] * (eps / 1e-1)
@@ -191,7 +188,7 @@ def _scalar_nested_rows(eps_values) -> list[dict]:
 
 
 def check_a5() -> CheckResult:
-    res = CheckResult("A5", "nested scalar table: global estimates and measured", True)
+    res = CheckResult("A5", "nested scalar table: global estimates and measured")
     for row in _scalar_nested_rows(NESTED_EPS_VALUES):
         eps, L_S, L_F = row["eps"], row["L_S"], row["L_F"]
         j = NESTED_LF_VALUES.index(L_F)
@@ -212,7 +209,7 @@ def check_a5() -> CheckResult:
 
 
 def check_a6() -> CheckResult:
-    res = CheckResult("A6", "Picard dichotomy on the substitute problem", True)
+    res = CheckResult("A6", "Picard dichotomy on the substitute problem")
     rows = _rows("picard")
     gmres_counts = {}
     for row in rows:
@@ -233,7 +230,8 @@ def check_a6() -> CheckResult:
     for row in rows:
         if row["criterion"] == "abs":
             plateau.append(row["residual"])
-            res.line(f"     abs tau={row['tau']:.0e}: stagnation residual {plateau[-1]:.3e}")
+            res.details.append(
+                f"     abs tau={row['tau']:.0e}: stagnation residual {plateau[-1]:.3e}")
     res.require(
         all(plateau[i] > plateau[i + 1] for i in range(len(plateau) - 1)),
         "stagnation residuals decrease monotonically with tau",
@@ -249,7 +247,7 @@ A7_TAUS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 def check_a7() -> CheckResult:
-    res = CheckResult("A7", "transmission exactness under the relative criterion", True)
+    res = CheckResult("A7", "transmission exactness under the relative criterion")
     for row in _rows("transmission-iters", dxs=list(A7_DXS), taus=list(A7_TAUS)):
         res.require(
             row["interface_error"] <= 1e-9,
@@ -261,7 +259,7 @@ def check_a7() -> CheckResult:
 
 
 def check_a8() -> CheckResult:
-    res = CheckResult("A8", "transmission absolute-criterion plateau", True)
+    res = CheckResult("A8", "transmission absolute-criterion plateau")
     for dx, per_tau in TRANSMISSION_ABS_REFERENCE.items():
         errors = []
         for row in _rows("transmission-error", criterion="abs", dxs=[dx], taus=list(per_tau)):
@@ -280,7 +278,7 @@ def check_a8() -> CheckResult:
 
 
 def check_a9() -> CheckResult:
-    res = CheckResult("A9", "transmission rhs-relative criterion", True)
+    res = CheckResult("A9", "transmission rhs-relative criterion")
     (row,) = _rows("transmission-error", criterion="relb", taus=[1e-1], dxs=[0.025])
     diverged = row["status"] == Termination.DIVERGED.value
     res.require(
@@ -303,7 +301,7 @@ def check_a9() -> CheckResult:
 
 
 def check_a10() -> CheckResult:
-    res = CheckResult("A10", "transmission efficiency structure", True)
+    res = CheckResult("A10", "transmission efficiency structure")
     rows = _rows("transmission-iters", dxs=[0.1], taus=list(A7_TAUS))
     outers = {row["tau"]: row["outer_iterations"] for row in rows}
     cgs = {row["tau"]: row["cg_iterations"] for row in rows}
@@ -333,7 +331,7 @@ def check_a10() -> CheckResult:
 
 
 def check_a11() -> CheckResult:
-    res = CheckResult("A11", "property suite", True)
+    res = CheckResult("A11", "property suite")
 
     # direct-perturbation bound dominates the measured error (scalar maps)
     for row in _rows("scalar-direct", gammas=[0.3, 1.145, 1.2], eps_values=[1e-1, 1e-2, 1e-3]):
@@ -355,7 +353,7 @@ def check_a11() -> CheckResult:
         n = 30
         A = rng.normal(size=(n, n)) + n * np.eye(n)
         b = rng.normal(size=n)
-        rep = gmres_solve(A, b, np.zeros(n), absolute(1e-10), max_iter=n)
+        rep = gmres_solve(A, b, np.zeros(n), TerminationCriterion("abs", 1e-10), max_iter=n)
         h = rep.residual_history
         mono_ok &= all(h[i + 1] <= h[i] * (1 + 1e-12) for i in range(len(h) - 1))
     res.require(mono_ok, "gmres residual history non-increasing on 5 seeded systems")
@@ -367,7 +365,7 @@ def check_a11() -> CheckResult:
         M = rng.normal(size=(n, n))
         A = M @ M.T + n * np.eye(n)
         b = rng.normal(size=n)
-        for crit in (relative_to_initial(1e-2), absolute(1e-6)):
+        for crit in (TerminationCriterion("rel", 1e-2), TerminationCriterion("abs", 1e-6)):
             rep = cg_solve(A, b, np.zeros(n), crit, max_iter=500)
             if rep.converged:
                 sound &= norm2(b - A @ rep.solution) <= DRIFT_GUARD_FACTOR * rep.threshold
@@ -395,11 +393,11 @@ def check_a11() -> CheckResult:
         A = M @ M.T + n * np.eye(n)
         b = rng.normal(size=n)
         x_ref = solve_direct(A, b)
-        rep = cg_solve(A, b, np.zeros(n), absolute(1e-12), max_iter=10 * n)
+        rep = cg_solve(A, b, np.zeros(n), TerminationCriterion("abs", 1e-12), max_iter=10 * n)
         agree &= norm2(rep.solution - x_ref) <= 1e-8 * max(norm2(x_ref), 1.0)
         G = rng.normal(size=(n, n)) + n * np.eye(n)
         x_ref = solve_direct(G, b)
-        rep = gmres_solve(G, b, np.zeros(n), absolute(1e-12), max_iter=5 * n)
+        rep = gmres_solve(G, b, np.zeros(n), TerminationCriterion("abs", 1e-12), max_iter=5 * n)
         agree &= norm2(rep.solution - x_ref) <= 1e-8 * max(norm2(x_ref), 1.0)
     res.require(agree, "cg/gmres match the direct solver at tau_a=1e-12 on seeded systems")
     return res

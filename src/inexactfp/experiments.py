@@ -262,7 +262,7 @@ def _run_scalar_direct(cfg: ExperimentConfig) -> TableReport:
         f, L = scalar_map(gamma)
         x_star = iterate_plain(f, 0.5, tol=cfg.tol).final
         for eps in cfg.eps_values:
-            schedule = PerturbationSchedule.constant(eps)
+            schedule = PerturbationSchedule(eps)
             trace = iterate_perturbed(f, schedule, 0.5, tol=cfg.tol, max_iter=cfg.max_outer)
             err = float(abs(trace.final - x_star)[0])
             rows.append({
@@ -311,13 +311,11 @@ def _run_linear_nested(cfg: ExperimentConfig) -> TableReport:
     for eps in cfg.eps_values:
         for alpha in cfg.alphas:
             for beta in cfg.betas:
-                problem = linear_nested(alpha, beta)
-                schedule = PerturbationSchedule.constant(eps)
-                trace = iterate_nested(
-                    problem.S, problem.F, schedule, schedule, np.zeros(2), cfg.tol,
-                    cfg.max_outer,
-                )
-                err = norm2(trace.final - problem.x_star)
+                S, F, x_star = linear_nested(alpha, beta)
+                schedule = PerturbationSchedule(eps)
+                trace = iterate_nested(S, F, schedule, schedule, np.zeros(2), cfg.tol,
+                                       cfg.max_outer)
+                err = norm2(trace.final - x_star)
                 rows.append({
                     "eps": eps,
                     "alpha": alpha,
@@ -338,7 +336,7 @@ def _run_scalar_nested(cfg: ExperimentConfig) -> TableReport:
                 S, F = nested_scalar(L_S, L_F)
                 x_star = float(iterate_plain(lambda x: S(F(x)), 0.5, tol=tol).final[0])
                 dS, dF = nested_local_derivatives(L_S, L_F, x_star)
-                schedule = PerturbationSchedule.constant(eps)
+                schedule = PerturbationSchedule(eps)
                 trace = iterate_nested(S, F, schedule, schedule, 0.5, tol, cfg.max_outer)
                 rows.append({
                     "eps": eps,

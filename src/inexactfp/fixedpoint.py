@@ -83,10 +83,6 @@ class PerturbationSchedule:
     decay: float = 1.0
 
     @staticmethod
-    def constant(magnitude: float) -> "PerturbationSchedule":
-        return PerturbationSchedule(magnitude)
-
-    @staticmethod
     def adaptive(c: float, L: float) -> "PerturbationSchedule":
         """The decaying schedule c L^k, for a contraction constant 0 < L < 1."""
         if not 0.0 < L < 1.0:

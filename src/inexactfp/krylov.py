@@ -85,18 +85,6 @@ class TerminationCriterion:
         return self.tolerance
 
 
-def relative_to_initial(tau: float) -> TerminationCriterion:
-    return TerminationCriterion("rel", tau)
-
-
-def relative_to_rhs(tau: float) -> TerminationCriterion:
-    return TerminationCriterion("relb", tau)
-
-
-def absolute(tau: float) -> TerminationCriterion:
-    return TerminationCriterion("abs", tau)
-
-
 @dataclass
 class SolveReport:
     """Outcome of one inner linear solve.

@@ -1,7 +1,7 @@
 """Concrete test problems: scalar maps, a 2x2 linear system, a desk-scale
 Picard problem and the two-subdomain transmission problem."""
 
-from .linear import LinearNestedProblem, linear_nested
+from .linear import linear_nested
 from .picard import (
     PicardProblemSpec,
     picard_assemble,
@@ -26,7 +26,6 @@ from .transmission import (
 
 __all__ = [
     "DnState",
-    "LinearNestedProblem",
     "PicardProblemSpec",
     "TransmissionSystem",
     "dn_iterate",

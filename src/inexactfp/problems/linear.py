@@ -7,9 +7,6 @@ constants are the spectral norms (slightly above alpha resp. beta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from ..linalg import solve_direct
@@ -17,22 +14,12 @@ from ..linalg import solve_direct
 OFF_DIAGONAL = 0.001
 
 
-@dataclass(frozen=True)
-class LinearNestedProblem:
-    S: Callable
-    F: Callable
-    A: np.ndarray
-    B: np.ndarray
-    b: np.ndarray
-    x_star: np.ndarray
-
-
 def _coupling_matrix(p: float) -> np.ndarray:
     return np.array([[p, 0.0], [OFF_DIAGONAL, OFF_DIAGONAL]])
 
 
-def linear_nested(alpha: float, beta: float) -> LinearNestedProblem:
-    """Build the problem and its reference fixed point.
+def linear_nested(alpha: float, beta: float):
+    """Return (S, F, x_star): the outer and inner maps and the fixed point.
 
     The fixed point is the direct solution of (I - AB) x = b; construction
     fails if I - AB is singular to working precision (spectral radius of AB
@@ -49,4 +36,4 @@ def linear_nested(alpha: float, beta: float) -> LinearNestedProblem:
     def F(x):
         return B @ x
 
-    return LinearNestedProblem(S=S, F=F, A=A, B=B, b=b, x_star=x_star)
+    return S, F, x_star

@@ -209,10 +209,6 @@ class DnState:
     u2: np.ndarray
 
     @classmethod
-    def zeros(cls, sys: TransmissionSystem) -> "DnState":
-        return cls(u1=np.zeros(sys.n1), u2=np.zeros(sys.n2))
-
-    @classmethod
     def from_monolithic(cls, sys: TransmissionSystem) -> "DnState":
         """The exact coupled fixed point, restricted to the blocks."""
         u = sys.grid(sys.monolithic_solution())
@@ -261,7 +257,7 @@ def dn_iterate(
     """Iterate sweeps from zero interface values until the interface increment
     drops below ``tol``; the trace records both solve reports per sweep, the
     Neumann solve's last: it produces the iterate, so it decides stagnation."""
-    state = DnState.zeros(sys)
+    state = DnState(np.zeros(sys.n1), np.zeros(sys.n2))
     m = sys.interface_count
 
     def step(u_gamma, k):

@@ -16,6 +16,7 @@ from inexactfp.fixedpoint import (
 )
 from inexactfp.linalg import norm2
 from inexactfp.problems import linear_nested, nested_scalar
+from inexactfp.problems.linear import OFF_DIAGONAL
 
 
 def halving(x):
@@ -24,6 +25,11 @@ def halving(x):
 
 def scalar_exp(gamma):
     return lambda x: np.exp(gamma * x) / 4
+
+
+def documented_matrix(p):
+    """A resp. B of linear_nested(alpha, beta), with p = alpha resp. beta."""
+    return np.array([[p, 0.0], [OFF_DIAGONAL, OFF_DIAGONAL]])
 
 
 # ---------------------------------------------------------------------------
@@ -52,14 +58,9 @@ def test_plain_scalar_exp_fixed_point():
 
 
 def test_plain_affine_map_matches_direct_solve():
-    problem = linear_nested(0.1, 0.1)
-    AB = problem.A @ problem.B
-
-    def f(x):
-        return AB @ x + problem.b
-
-    trace = iterate_plain(f, np.zeros(2), tol=1e-15)
-    assert_allclose(trace.final, problem.x_star, atol=1e-12)
+    S, F, x_star = linear_nested(0.1, 0.1)
+    trace = iterate_plain(lambda x: S(F(x)), np.zeros(2), tol=1e-15)
+    assert_allclose(trace.final, x_star, atol=1e-12)
 
 
 def test_plain_divergence_flagged():
@@ -80,12 +81,12 @@ def test_divergence_judged_against_the_first_increment():
 def test_large_constant_perturbation_is_not_divergence():
     # the run behind `linear-nested --alphas 0.5 --betas 0.5 --eps 1e100`: a
     # contraction whose first increment is far above DIVERGENCE_LIMIT
-    problem = linear_nested(0.5, 0.5)
-    sched = PerturbationSchedule.constant(1e100)
-    trace = iterate_nested(problem.S, problem.F, sched, sched, np.zeros(2), tol=1e-14)
+    S, F, x_star = linear_nested(0.5, 0.5)
+    sched = PerturbationSchedule(1e100)
+    trace = iterate_nested(S, F, sched, sched, np.zeros(2), tol=1e-14)
     assert trace.terminated_by is Termination.INCREMENT_BELOW_TOL
     assert trace.steps > 1
-    assert norm2(trace.final - problem.x_star) <= bound_nested(1e100, 1e100, 0.5, 0.5)
+    assert norm2(trace.final - x_star) <= bound_nested(1e100, 1e100, 0.5, 0.5)
 
 
 # the per-step contraction inequality carries a 1e-8 relative slack, so it
@@ -104,14 +105,9 @@ def test_plain_increment_contraction_property():
 
 
 def test_plain_increment_contraction_affine():
-    problem = linear_nested(0.9, 0.9)
-    AB = problem.A @ problem.B
-    L = float(np.linalg.norm(AB, 2))
-
-    def f(x):
-        return AB @ x + problem.b
-
-    incs = iterate_plain(f, np.zeros(2), tol=1e-7).increments
+    S, F, _ = linear_nested(0.9, 0.9)
+    L = float(np.linalg.norm(documented_matrix(0.9) @ documented_matrix(0.9), 2))
+    incs = iterate_plain(lambda x: S(F(x)), np.zeros(2), tol=1e-7).increments
     assert all(incs[k + 1] <= L * incs[k] * (1 + 1e-8) for k in range(len(incs) - 1))
 
 
@@ -120,12 +116,12 @@ def test_plain_increment_contraction_affine():
 # ---------------------------------------------------------------------------
 
 def test_schedule_none_is_zero():
-    s = PerturbationSchedule.constant(0.0)
+    s = PerturbationSchedule(0.0)
     assert norm2(s.vector(3, 4)) == 0.0
 
 
 def test_schedule_constant_norm_and_direction():
-    s = PerturbationSchedule.constant(0.2)
+    s = PerturbationSchedule(0.2)
     v = s.vector(0, 9)
     assert norm2(v) == pytest.approx(0.2, rel=1e-12)
     assert np.all(v > 0)  # all-ones direction by default
@@ -136,8 +132,8 @@ def test_schedule_vectors_exact():
     # beyond that: a length-1 iterate gets the magnitude itself
     for m in (0.0, 1e-1, 3.7e-5, 2.5):
         for k in (0, 1, 7, 500):
-            assert PerturbationSchedule.constant(m).vector(k, 1).tolist() == [m]
-            assert PerturbationSchedule.constant(m).vector(k, 2).tolist() == [
+            assert PerturbationSchedule(m).vector(k, 1).tolist() == [m]
+            assert PerturbationSchedule(m).vector(k, 2).tolist() == [
                 m / np.sqrt(2.0)
             ] * 2
             adaptive = PerturbationSchedule.adaptive(m, 0.9)
@@ -159,7 +155,7 @@ def test_schedule_adaptive_decay():
 def test_perturbed_none_equals_plain():
     f = halving
     plain = iterate_plain(f, 1.0, tol=1e-14)
-    pert = iterate_perturbed(f, PerturbationSchedule.constant(0.0), 1.0, tol=1e-14)
+    pert = iterate_perturbed(f, PerturbationSchedule(0.0), 1.0, tol=1e-14)
     assert plain.increments == pert.increments
     assert plain.final.tobytes() == pert.final.tobytes()
 
@@ -167,7 +163,7 @@ def test_perturbed_none_equals_plain():
 def test_perturbed_constant_matches_reference_value():
     f = scalar_exp(0.3)
     x_star = iterate_plain(f, 0.5, tol=1e-14).final
-    sched = PerturbationSchedule.constant(1e-2)
+    sched = PerturbationSchedule(1e-2)
     trace = iterate_perturbed(f, sched, 0.5, tol=1e-14)
     err = abs(trace.final - x_star)[0]
     assert err == pytest.approx(1.089e-2, rel=0.01)
@@ -188,24 +184,24 @@ def test_perturbed_adaptive_reaches_exact_solution():
 
 def test_nested_identity_maps_stay_put():
     ident = lambda x: x
-    zero = PerturbationSchedule.constant(0.0)
+    zero = PerturbationSchedule(0.0)
     trace = iterate_nested(ident, ident, zero, zero, np.array([2.0, -1.0]), tol=1e-14)
     assert trace.steps == 1
     assert trace.increments[0] == 0.0
 
 
 def test_nested_linear_2x2_reference_band():
-    problem = linear_nested(0.1, 0.1)
-    sched = PerturbationSchedule.constant(1e-1)
-    trace = iterate_nested(problem.S, problem.F, sched, sched, np.zeros(2), tol=1e-14)
-    err = norm2(trace.final - problem.x_star)
+    S, F, x_star = linear_nested(0.1, 0.1)
+    sched = PerturbationSchedule(1e-1)
+    trace = iterate_nested(S, F, sched, sched, np.zeros(2), tol=1e-14)
+    err = norm2(trace.final - x_star)
     assert 0.9 * 1.058e-1 <= err <= 1.25 * 1.058e-1
 
 
 def test_nested_scalar_reference_cell():
     S, F = nested_scalar(0.9, 0.99)
     x_star = iterate_plain(lambda x: S(F(x)), 0.5, tol=1e-14).final
-    sched = PerturbationSchedule.constant(1e-1)
+    sched = PerturbationSchedule(1e-1)
     trace = iterate_nested(S, F, sched, sched, 0.5, tol=1e-14)
     err = abs(trace.final - x_star)[0]
     assert err == pytest.approx(1.658e-1, rel=0.01)
@@ -247,7 +243,7 @@ def test_direct_bound_dominates_measured_error():
         L = gamma * np.exp(gamma) / 4
         x_star = iterate_plain(f, 0.5, tol=1e-14).final
         for eps in (1e-1, 1e-2, 1e-3):
-            sched = PerturbationSchedule.constant(eps)
+            sched = PerturbationSchedule(eps)
             trace = iterate_perturbed(f, sched, 0.5, tol=1e-14)
             err = abs(trace.final - x_star)[0]
             assert err <= bound_direct(eps, L) + 1e-10
@@ -281,44 +277,40 @@ def test_adaptive_schedule_recovers_exact_scalar(gamma):
 
 @pytest.mark.parametrize("alpha,beta", [(0.1, 0.1), (0.9, 0.9), (0.99, 0.99)])
 def test_adaptive_schedule_recovers_exact_2x2(alpha, beta):
-    problem = linear_nested(alpha, beta)
-    AB = problem.A @ problem.B
-
-    def f(x):
-        return AB @ x + problem.b
-
-    L = float(np.linalg.norm(AB, 2))
+    S, F, x_star = linear_nested(alpha, beta)
+    L = float(np.linalg.norm(documented_matrix(alpha) @ documented_matrix(beta), 2))
     sched = PerturbationSchedule.adaptive(1e-2, L)
-    trace = iterate_perturbed(f, sched, np.zeros(2), tol=1e-12)
-    assert norm2(trace.final - problem.x_star) <= 100 * 1e-12
+    trace = iterate_perturbed(lambda x: S(F(x)), sched, np.zeros(2), tol=1e-12)
+    assert norm2(trace.final - x_star) <= 100 * 1e-12
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.1, 0.1), (0.9, 0.9), (0.9, 0.99)])
 def test_nested_per_step_geometric_series_bound(alpha, beta):
     # brute-force accumulation of the per-step bound
     # (Ls Lf)^{k+1} ||x0 - x*|| + sum_j (Ls Lf)^j (Ls eps + delta)
-    problem = linear_nested(alpha, beta)
-    L_S, L_F = np.linalg.norm(problem.A, 2), np.linalg.norm(problem.B, 2)
+    S, F, x_star = linear_nested(alpha, beta)
+    L_S = np.linalg.norm(documented_matrix(alpha), 2)
+    L_F = np.linalg.norm(documented_matrix(beta), 2)
     eps = 1e-1
-    sched = PerturbationSchedule.constant(eps)
+    sched = PerturbationSchedule(eps)
     # the trace keeps only its last iterate: record each one as S returns
     # it, plus the delta_k the driver adds, the same operations bit for bit
     iterates = [np.zeros(2)]
 
-    def S(x):
-        y = problem.S(x)
+    def recorded_S(x):
+        y = S(x)
         iterates.append(y + sched.vector(len(iterates) - 1, 2))
         return y
 
-    trace = iterate_nested(S, problem.F, sched, sched, np.zeros(2), tol=1e-14)
+    trace = iterate_nested(recorded_S, F, sched, sched, np.zeros(2), tol=1e-14)
     assert len(iterates) == trace.steps + 1
     assert iterates[-1].tobytes() == trace.final.tobytes()
-    e0 = norm2(iterates[0] - problem.x_star)
+    e0 = norm2(iterates[0] - x_star)
     rho = L_S * L_F
     for k in range(trace.steps):
         partial = sum(rho**j * (L_S * eps + eps) for j in range(k + 1))
         bound_k = rho ** (k + 1) * e0 + partial
-        err_k = norm2(iterates[k + 1] - problem.x_star)
+        err_k = norm2(iterates[k + 1] - x_star)
         assert err_k <= bound_k + 1e-10
 
 
@@ -327,7 +319,7 @@ def test_nested_bound_dominates_measured_error():
         for L_F in (0.1, 0.9, 0.99):
             S, F = nested_scalar(L_S, L_F)
             x_star = iterate_plain(lambda x: S(F(x)), 0.5, tol=1e-14).final
-            sched = PerturbationSchedule.constant(1e-1)
+            sched = PerturbationSchedule(1e-1)
             trace = iterate_nested(S, F, sched, sched, 0.5, tol=1e-14)
             err = abs(trace.final - x_star)[0]
             assert err <= bound_nested(1e-1, 1e-1, L_S, L_F) + 1e-10

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from inexactfp.fixedpoint import Termination
-from inexactfp.krylov import absolute, gmres_solve, relative_to_initial
+from inexactfp.krylov import TerminationCriterion, gmres_solve
 from inexactfp.linalg import norm2
 from inexactfp.problems import (
     PicardProblemSpec,
@@ -80,8 +80,8 @@ def test_forcing_fixed_point_property():
 
 
 def test_relative_criterion_converges_for_loose_tau():
-    loose = picard_iterate(SPEC, relative_to_initial(1e-1), tol=1e-12)
-    tight = picard_iterate(SPEC, relative_to_initial(1e-12), tol=1e-12)
+    loose = picard_iterate(SPEC, TerminationCriterion("rel", 1e-1), tol=1e-12)
+    tight = picard_iterate(SPEC, TerminationCriterion("rel", 1e-12), tol=1e-12)
     assert loose.residuals[-1] <= 1e-12
     assert tight.residuals[-1] <= 1e-12
     assert_allclose(loose.final, tight.final, atol=1e-10)
@@ -93,14 +93,14 @@ def test_relative_criterion_converges_for_loose_tau():
 
 
 def test_absolute_criterion_plateaus():
-    trace = picard_iterate(SPEC, absolute(1e-3), tol=1e-12)
+    trace = picard_iterate(SPEC, TerminationCriterion("abs", 1e-3), tol=1e-12)
     assert trace.terminated_by is Termination.INNER_STAGNATION
     assert 1e-5 <= trace.residuals[-1] <= 1e-2
 
 
 def test_exact_start_stagnates_immediately():
     trace = picard_iterate(
-        SPEC, relative_to_initial(1e-1), tol=1e-12, x0=SPEC.exact_solution()
+        SPEC, TerminationCriterion("rel", 1e-1), tol=1e-12, x0=SPEC.exact_solution()
     )
     assert trace.terminated_by is Termination.INNER_STAGNATION
     assert trace.steps == 1
@@ -108,19 +108,19 @@ def test_exact_start_stagnates_immediately():
 
 
 def test_max_iter_caps_outer_steps():
-    trace = picard_iterate(SPEC, relative_to_initial(1e-1), tol=1e-12, max_iter=3)
+    trace = picard_iterate(SPEC, TerminationCriterion("rel", 1e-1), tol=1e-12, max_iter=3)
     assert trace.terminated_by is Termination.MAX_ITER
     assert trace.steps == 3
     assert len(trace.residuals) == 3
 
 
 def test_trace_records_carry_no_vectors():
-    trace = picard_iterate(SPEC, relative_to_initial(1e-1), tol=1e-12, max_iter=3)
+    trace = picard_iterate(SPEC, TerminationCriterion("rel", 1e-1), tol=1e-12, max_iter=3)
     records = [r for step in trace.inner_reports for r in step]
     assert len(records) == 3
     assert all(r.solution is None and r.residual_history is None for r in records)
     A = picard_assemble(SPEC, trace.final)
-    rep = gmres_solve(A, picard_forcing(SPEC), trace.final, relative_to_initial(1e-1))
+    rep = gmres_solve(A, picard_forcing(SPEC), trace.final, TerminationCriterion("rel", 1e-1))
     assert rep.solution.shape == (SPEC.n,)
     assert len(rep.residual_history) == rep.iterations + 1
 

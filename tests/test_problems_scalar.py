@@ -11,6 +11,7 @@ from inexactfp.problems import (
     nested_scalar,
     scalar_map,
 )
+from inexactfp.problems.linear import OFF_DIAGONAL
 
 
 @pytest.mark.parametrize(
@@ -53,28 +54,42 @@ def test_nested_local_derivatives():
     assert dF == pytest.approx((F(x_star + h) - F(x_star - h)) / (2 * h), rel=1e-6)
 
 
+def documented_matrix(p):
+    return np.array([[p, 0.0], [OFF_DIAGONAL, OFF_DIAGONAL]])
+
+
+def linear_part(g):
+    """The matrix of an affine map g, column by column."""
+    return np.column_stack([g(e) - g(np.zeros(2)) for e in np.eye(2)])
+
+
 def test_linear_nested_fixed_point():
-    problem = linear_nested(0.1, 0.1)
+    S, F, x_star = linear_nested(0.1, 0.1)
     x1 = 1.0 / 0.99
     x2 = (1.0 + 0.000101 * x1) / 0.999999
-    assert_allclose(problem.x_star, [x1, x2], rtol=1e-12)
-    assert_allclose(problem.S(problem.F(problem.x_star)), problem.x_star, rtol=1e-12)
+    assert_allclose(x_star, [x1, x2], rtol=1e-12)
+    assert_allclose(S(F(x_star)), x_star, rtol=1e-12)
 
 
 def test_linear_nested_matrix_entries():
-    problem = linear_nested(0.9, 0.99)
-    assert_allclose(problem.A, [[0.9, 0.0], [0.001, 0.001]], rtol=0)
-    assert_allclose(problem.B, [[0.99, 0.0], [0.001, 0.001]], rtol=0)
-    assert_allclose(problem.b, [1.0, 1.0], rtol=0)
+    # S(x) = A x + b and F(x) = B x with A, B the documented matrices and
+    # b = (1, 1): each unit vector picks out a column, bit for bit
+    S, F, _ = linear_nested(0.9, 0.99)
+    A, B = documented_matrix(0.9), documented_matrix(0.99)
+    assert S(np.zeros(2)).tobytes() == np.array([1.0, 1.0]).tobytes()
+    assert F(np.zeros(2)).tobytes() == np.zeros(2).tobytes()
+    for i, e in enumerate(np.eye(2)):
+        assert S(e).tobytes() == (A[:, i] + 1.0).tobytes()
+        assert F(e).tobytes() == B[:, i].tobytes()
 
 
 def test_linear_nested_spectral_norms():
-    problem = linear_nested(0.1, 0.1)
-    for matrix, p in ((problem.A, 0.1), (problem.B, 0.1)):
+    S, F, _ = linear_nested(0.1, 0.1)
+    for matrix, p in ((linear_part(S), 0.1), (linear_part(F), 0.1)):
         svd_norm = np.linalg.svd(matrix, compute_uv=False)[0]
         assert p < svd_norm < p + 1e-4  # slightly above alpha resp. beta
 
 
 def test_linear_nested_zero_edge():
-    problem = linear_nested(0.0, 0.0)
-    assert_allclose(problem.x_star, [1.0, 1.0], atol=1e-5)
+    _, _, x_star = linear_nested(0.0, 0.0)
+    assert_allclose(x_star, [1.0, 1.0], atol=1e-5)

@@ -8,13 +8,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from inexactfp.fixedpoint import Termination
-from inexactfp.krylov import (
-    _as_apply,
-    absolute,
-    cg_solve,
-    relative_to_initial,
-    relative_to_rhs,
-)
+from inexactfp.krylov import TerminationCriterion, _as_apply, cg_solve
 from inexactfp.linalg import norm2, solve_direct
 from inexactfp.problems import (
     DnState,
@@ -121,8 +115,9 @@ def test_blocks_symmetric_and_spd(sys10):
         assert gap.nnz == 0 or gap.max() == 0.0
         assert spd_spot_check(M)
         # CG converges on a generic rhs: the practical SPD certificate
-        rep = cg_solve(M, np.ones(M.shape[0]), np.zeros(M.shape[0]), absolute(1e-10),
-                       max_iter=4 * M.shape[0])
+        n = M.shape[0]
+        rep = cg_solve(M, np.ones(n), np.zeros(n), TerminationCriterion("abs", 1e-10),
+                       max_iter=4 * n)
         assert rep.converged
 
 
@@ -139,7 +134,7 @@ def test_monolithic_consistency_of_blocks(sys10):
 
 def test_dn_step_fixed_point_property(sys10):
     state = DnState.from_monolithic(sys10)
-    new_state, (rep1, rep2) = dn_step(sys10, state, absolute(1e-13))
+    new_state, (rep1, rep2) = dn_step(sys10, state, TerminationCriterion("abs", 1e-13))
     m = sys10.interface_count
     assert_allclose(new_state.u2[:m], state.u2[:m], atol=1e-9)
     assert rep1.converged and rep2.converged
@@ -149,16 +144,16 @@ def test_dn_step_zero_forcing_zero_fixed_point(sys10):
     sys0 = dataclasses.replace(
         sys10, f_omega1=np.zeros(sys10.n1), f_block2=np.zeros(sys10.n2)
     )
-    state = DnState.zeros(sys0)
-    new_state, (rep1, rep2) = dn_step(sys0, state, absolute(1e-13))
+    state = DnState(np.zeros(sys0.n1), np.zeros(sys0.n2))
+    new_state, (rep1, rep2) = dn_step(sys0, state, TerminationCriterion("abs", 1e-13))
     assert norm2(new_state.u2[: sys0.interface_count]) == 0.0
     assert rep1.iterations == 0 and rep2.iterations == 0
 
 
 def test_dn_step_matches_direct_solve_oracle(sys10):
     # one sweep from zero interface data, replayed with dense direct solves
-    state = DnState.zeros(sys10)
-    new_state, _ = dn_step(sys10, state, absolute(1e-13))
+    state = DnState(np.zeros(sys10.n1), np.zeros(sys10.n2))
+    new_state, _ = dn_step(sys10, state, TerminationCriterion("abs", 1e-13))
     u1 = solve_direct(sys10.A.toarray(), sys10.b1(np.zeros(sys10.interface_count)))
     u2 = solve_direct(sys10.B.toarray(), sys10.b2(sys10.coupling_column(state.u1)))
     assert_allclose(new_state.u2, u2, atol=1e-8)
@@ -167,11 +162,12 @@ def test_dn_step_matches_direct_solve_oracle(sys10):
 
 def test_dn_step_rejects_unknown_inner_guess(sys10):
     with pytest.raises(ValueError, match="inner_guess"):
-        dn_step(sys10, DnState.zeros(sys10), absolute(1e-6), inner_guess="previuos")
+        dn_step(sys10, DnState(np.zeros(sys10.n1), np.zeros(sys10.n2)),
+                TerminationCriterion("abs", 1e-6), inner_guess="previuos")
 
 
 def test_dn_iterate_relative_criterion_exact(sys10):
-    trace = dn_iterate(sys10, relative_to_initial(1e-2), tol=1e-14)
+    trace = dn_iterate(sys10, TerminationCriterion("rel", 1e-2), tol=1e-14)
     err_gamma, err_full = solution_errors(sys10, trace.state)
     assert trace.terminated_by is Termination.INCREMENT_BELOW_TOL
     assert err_gamma <= 1e-10
@@ -179,7 +175,7 @@ def test_dn_iterate_relative_criterion_exact(sys10):
 
 
 def test_dn_iterate_absolute_criterion_plateau(sys10):
-    trace = dn_iterate(sys10, absolute(1e-2), tol=1e-14)
+    trace = dn_iterate(sys10, TerminationCriterion("abs", 1e-2), tol=1e-14)
     _, err_full = solution_errors(sys10, trace.state)
     assert err_full == pytest.approx(7.727e-4, rel=2.0)  # within factor 3
 
@@ -187,7 +183,7 @@ def test_dn_iterate_absolute_criterion_plateau(sys10):
 def test_monolithic_equivalence_tight_absolute():
     for dx in (0.1, 0.05):
         sys_ = transmission_assemble(dx)
-        trace = dn_iterate(sys_, absolute(1e-13), tol=1e-12)
+        trace = dn_iterate(sys_, TerminationCriterion("abs", 1e-13), tol=1e-12)
         err_gamma, _ = solution_errors(sys_, trace.state)
         assert err_gamma <= 1e-9
 
@@ -266,8 +262,8 @@ def test_dia_block_is_bitwise_the_csr_laplacian_product(n):
 # matvec or the CG updates can move them. The abs run ends on a Neumann
 # solve of 0 iterations; the rel run's late solves stop at the float64 floor
 @pytest.mark.parametrize("criterion, terminated_by, steps, cg_iterations", [
-    (absolute(1e-2), Termination.INNER_STAGNATION, 60, 2930),
-    (relative_to_initial(1e-1), Termination.INCREMENT_BELOW_TOL, 197, 5325),
+    (TerminationCriterion("abs", 1e-2), Termination.INNER_STAGNATION, 60, 2930),
+    (TerminationCriterion("rel", 1e-1), Termination.INCREMENT_BELOW_TOL, 197, 5325),
 ], ids=["abs-1e-2", "rel-1e-1"])
 def test_dn_work_counters_pinned(criterion, terminated_by, steps, cg_iterations):
     trace = dn_iterate(transmission_assemble(1 / 20), criterion, tol=1e-14)
@@ -278,11 +274,12 @@ def test_dn_work_counters_pinned(criterion, terminated_by, steps, cg_iterations)
 
 def test_dn_trace_records_carry_no_vectors():
     sys_ = transmission_assemble(1 / 10)
-    trace = dn_iterate(sys_, absolute(1e-4), tol=1e-8)
+    trace = dn_iterate(sys_, TerminationCriterion("abs", 1e-4), tol=1e-8)
     records = [r for step in trace.inner_reports for r in step]
     assert len(records) == 2 * trace.steps
     assert all(r.solution is None and r.residual_history is None for r in records)
-    rep = cg_solve(sys_.A, sys_.b1(trace.final), np.zeros(sys_.n1), absolute(1e-4))
+    rep = cg_solve(sys_.A, sys_.b1(trace.final), np.zeros(sys_.n1),
+                   TerminationCriterion("abs", 1e-4))
     assert rep.solution.shape == (sys_.n1,)
     assert len(rep.residual_history) == rep.iterations + 1
 
@@ -295,7 +292,7 @@ def test_dn_trace_memory_per_sweep_below_one_vector():
     for max_iter in (100, 200):
         tracemalloc.start()
         try:
-            trace = dn_iterate(sys_, relative_to_rhs(1e-1), tol=1e-14,
+            trace = dn_iterate(sys_, TerminationCriterion("relb", 1e-1), tol=1e-14,
                                max_iter=max_iter, inner_guess="zero")
             held.append(tracemalloc.get_traced_memory()[0])
         finally:
