@@ -39,7 +39,13 @@ def _parse_number(token: str) -> float:
 
 
 def _parse_list(text: str) -> list[float]:
-    return [_parse_number(t) for t in text.split(",") if t.strip()]
+    return [_parse_number(t) for t in text.split(",")]
+
+
+def _parse_path(text: str) -> str:
+    if not text:
+        raise ValueError("empty path")
+    return text
 
 
 class _Key(NamedTuple):
@@ -73,8 +79,8 @@ _KEYS = (
          "initial guess policy for the inner solves", ("previous", "zero")),
     _Key("max-outer", "max_outer", int, "outer iteration cap"),
     _Key("format", "out_format", str, "output format", ("csv", "md")),
-    _Key("out", "out_path", str, "output path (default: stdout)"),
-    _Key("export-fields", "export_fields", str,
+    _Key("out", "out_path", _parse_path, "output path (default: stdout)"),
+    _Key("export-fields", "export_fields", _parse_path,
          "also write exact/discrete field CSV grids (transmission)", metavar="PREFIX"),
 )
 _KEYS_BY_FLAG = {key.flag: key for key in _KEYS}
@@ -142,12 +148,12 @@ def _merge_config(args) -> ExperimentConfig:
 def _run_acceptance_command(args) -> int:
     ids = None
     if args.criteria is not None:
-        ids = [c.strip().upper() for c in args.criteria.split(",") if c.strip()]
+        ids = [c.strip().upper() for c in args.criteria.split(",")]
+        if "" in ids or len(set(ids)) < len(ids):
+            raise UsageError(f"--criteria must name distinct criterion ids, got {args.criteria!r}")
         unknown = [c for c in ids if c not in ALL_CHECKS]
         if unknown:
             raise UsageError(f"unknown acceptance criteria: {unknown}")
-        if not ids or len(set(ids)) < len(ids):
-            raise UsageError(f"--criteria must name distinct criterion ids, got {args.criteria!r}")
     results, ok = run_acceptance(ids)
     for result in results:
         print(f"{result.criterion:4s} {'PASS' if result.passed else 'FAIL'}  {result.title}")

@@ -116,9 +116,10 @@ def test_cli_run_acceptance_failure_prints_details(capsys):
     assert "acceptance: 0/1 criteria passed" in out
 
 
-@pytest.mark.parametrize("criteria", [",", "", "A3,A3", "a3, A3"])
+@pytest.mark.parametrize("criteria", [",", "", "A3,A3", "a3, A3", "A1,,A3"])
 def test_cli_run_acceptance_empty_or_repeated_criteria(criteria, capsys):
-    # neither runs every check nor one check twice: both are usage errors
+    # runs neither every check, nor one check twice, nor the named checks
+    # around an empty entry: all are usage errors
     assert main(["--run-acceptance", "--criteria", criteria]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,11 +1,15 @@
 import csv
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import inexactfp
 from inexactfp.cli import _KEYS, main, read_config_file
 from inexactfp.experiments import (
     EXPERIMENT_IDS,
@@ -318,6 +322,14 @@ def test_cli_config_file_with_flag_override(tmp_path):
     (["--run-acceptance", "--criteria", "A3", "--config", "{cfg}"],
      "experiment=scalar-direct\n"),
     (["--experiment", "scalar-direct", "--criteria", "A9", "--verbose"], None),
+    (["--experiment", "scalar-direct", "--gammas", "0.3,,1.145", "--eps", "1e-1"], None),
+    (["--experiment", "scalar-direct", "--eps", "1e-1", "--config", "{cfg}"],
+     "gammas = 0.3,,1.145\n"),
+    (["--experiment", "scalar-direct", "--out", ""], None),
+    (["--experiment", "scalar-direct", "--config", "{cfg}"], "out =\n"),
+    (["--experiment", "transmission-error", "--dx", "1/10", "--export-fields", ""], None),
+    (["--experiment", "transmission-error", "--dx", "1/10", "--config", "{cfg}"],
+     "export-fields =\n"),
 ], ids=["eps-abc", "dx-1/0", "config-tol-oops", "config-missing", "tol-nan", "dx-nan",
         "max-outer-0", "max-outer-neg", "tau-empty", "export-fields-scalar",
         "ls-lf-lengths", "ls-lf-default-length", "efficiency-two-dx",
@@ -326,7 +338,9 @@ def test_cli_config_file_with_flag_override(tmp_path):
         "scalar-direct-inner-guess-zero", "adaptive-c-negative", "config-format-xml",
         "config-inner-guess-random", "config-criterion-foo", "config-line-without-equals",
         "tau-zero", "tol-negative", "acceptance-experiment-flags", "acceptance-out",
-        "acceptance-config", "experiment-acceptance-flags"])
+        "acceptance-config", "experiment-acceptance-flags", "gammas-empty-entry",
+        "config-gammas-empty-entry", "out-empty", "config-out-empty", "export-fields-empty",
+        "config-export-fields-empty"])
 def test_cli_malformed_number_is_usage_error(argv, config_text, tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"  # written only when the case has a file
     if config_text is not None:
@@ -335,6 +349,29 @@ def test_cli_malformed_number_is_usage_error(argv, config_text, tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""  # rejected before anything runs
     assert captured.err.startswith("error: ")
+
+
+def _run_module(*args):
+    src = str(Path(inexactfp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "inexactfp", *args],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_python_m_entry_point():
+    # a fresh interpreter runs __main__.py, which exits with main()'s status
+    shown = _run_module("--help")
+    assert shown.returncode == 0, shown.stderr
+    assert len(EXPERIMENT_IDS) == 8
+    for experiment in EXPERIMENT_IDS:
+        assert experiment in shown.stdout
+    ran = _run_module("--experiment", "scalar-direct", "--gammas", "0.3", "--eps", "1e-1")
+    assert ran.returncode == 0, ran.stderr
+    assert ran.stdout.splitlines()[0] == "gamma,L,eps,error,bound,outer_iterations"
+    refused = _run_module("--experiment", "scalar-direct", "--gammas", "0.3,,1.145")
+    assert (refused.returncode, refused.stdout) == (1, "")
 
 
 @pytest.mark.parametrize("argv, message", [
