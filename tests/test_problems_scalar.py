@@ -74,6 +74,7 @@ def test_linear_nested_fixed_point():
 def test_linear_nested_matrix_entries():
     # S(x) = A x + b and F(x) = B x with A, B the documented matrices and
     # b = (1, 1): each unit vector picks out a column, bit for bit
+    assert OFF_DIAGONAL == 0.001
     S, F, _ = linear_nested(0.9, 0.99)
     A, B = documented_matrix(0.9), documented_matrix(0.99)
     assert S(np.zeros(2)).tobytes() == np.array([1.0, 1.0]).tobytes()
