@@ -489,7 +489,7 @@ SOLVER_TABLE_DIGESTS = {
     ),
     "transmission-iters": (
         dict(experiment="transmission-iters", dxs=[0.1]),
-        "26007ff40be549f83cbce61c9788e8589811d2e377f30b7e577877faac37318f",
+        "dad68defcf5c1845ff8f9becd751de064c08180f0871a6bf2ad22feb3d20f372",
     ),
     "transmission-efficiency": (
         dict(experiment="transmission-efficiency", dxs=[0.1]),

@@ -137,6 +137,8 @@ _LAZY_SOLVERS_SCRIPT = textwrap.dedent("""
 
     run_experiment(ExperimentConfig(experiment="picard", taus=[1e-1]))
     run_experiment(ExperimentConfig(experiment="scalar-direct", gammas=[0.3]))
+    # the transmission oracle is a sine transform, not a direct solve
+    run_experiment(ExperimentConfig(experiment="transmission-error", dxs=[0.1]))
     loaded = [m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules]
     assert not loaded, loaded
 

@@ -308,3 +308,14 @@ def test_oracle_state_round_trips_to_monolithic(n):
     state = DnState.from_monolithic(sys_)
     full = sys_.assemble_full(state.u1, state.u2)
     assert full.tobytes() == sys_.monolithic_solution().tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 49])
+def test_sine_transform_oracle_matches_sparse_lu(n):
+    # n = 2 gives a length-1 transform axis
+    sys_ = transmission_assemble(1.0 / n)
+    M, b = sys_.monolithic, sys_.monolithic_rhs
+    u = sys_.monolithic_solution()
+    assert np.abs(u - solve_direct(M, b)).max() <= 1e-12
+    m_inf = abs(M).sum(axis=1).max()
+    assert norm2(M @ u - b) <= 1e-10 * (m_inf * norm2(u) + norm2(b))
