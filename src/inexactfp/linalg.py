@@ -4,7 +4,7 @@ Vectors are 1-d float64 numpy arrays, dense matrices 2-d arrays, sparse
 matrices scipy CSR. ``solve_direct`` is the small-system oracle used to
 cross-check the iterative solvers; it never appears inside them, so it imports
 ``scipy.linalg``/``scipy.sparse.linalg`` on first use: runs that never solve
-directly (Picard, the scalar maps) skip their import time and memory.
+directly (Picard, the scalar maps, the transmission runs) skip both imports.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def solve_direct(M, b: np.ndarray) -> np.ndarray:
     """Solve M x = b by LAPACK LU with partial pivoting (dense) or sparse LU.
 
     Intended for reference solutions: fixed points of linear maps and the
-    monolithic discretizations the coupled iterations are checked against.
+    cross-checks of the Krylov solvers and of the transmission oracle.
     Residuals satisfy ||Mx - b|| <= 1e-10 (||M|| ||x|| + ||b||) for
     reasonably conditioned systems.
 

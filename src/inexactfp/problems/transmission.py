@@ -13,8 +13,8 @@ Unknown blocks:
   full five-point stencil; their Omega1-side neighbour value is data in b2,
   which realizes the flux coupling. At a fixed point of the sweep the
   stacked subdomain solutions satisfy the single-domain (monolithic)
-  five-point system exactly, so the monolithic solve is the oracle for the
-  coupled iteration.
+  five-point system exactly, so its solution, by a fast 2-D sine transform
+  (``TransmissionSystem.monolithic_solution``), is the iteration's oracle.
 
 One sweep solves the Dirichlet block with the current interface values and
 the Neumann block with the coupling column of the previous sweep's Omega1
@@ -65,7 +65,8 @@ class TransmissionSystem:
     are Omega1, column ``m`` is the interface and ``[:, m + 1:]`` are
     Omega2. Omega1 vectors are the ``(m, m)`` block flattened;
     B-ordered vectors are the interface column followed by the flattened
-    Omega2 block.
+    Omega2 block. The oracle ``monolithic_solution`` never factors
+    ``monolithic``: a 2-D sine transform diagonalizes it.
 
     All three operators are blocks of one five-point matrix, the CSR
     ``monolithic``: ``B`` (CSR) of the interface column and Omega2,
