@@ -65,8 +65,7 @@ class TransmissionSystem:
     are Omega1, column ``m`` is the interface and ``[:, m + 1:]`` are
     Omega2. Omega1 vectors are the ``(m, m)`` block flattened;
     B-ordered vectors are the interface column followed by the flattened
-    Omega2 block. The oracle ``monolithic_solution`` never factors
-    ``monolithic``: a 2-D sine transform diagonalizes it.
+    Omega2 block. The oracle ``monolithic_solution`` is a 2-D sine transform.
 
     All three operators are blocks of one five-point matrix, the CSR
     ``monolithic``: ``B`` (CSR) of the interface column and Omega2,
@@ -130,7 +129,8 @@ class TransmissionSystem:
         if self._monolithic_solution is None:
             from scipy.fft import dstn, idstn  # on first use, like linalg's LAPACK
 
-            n, (j, i) = self.n_cells, np.ogrid[1 : self.n_cells, 1 : 2 * self.n_cells]
+            n = self.n_cells
+            j, i = np.ogrid[1:n, 1 : 2 * n]
             lam = 4 * np.sin(np.pi * j / (2 * n)) ** 2 + 4 * np.sin(np.pi * i / (4 * n)) ** 2
             f_hat = dstn(self.grid(self.monolithic_rhs), type=1)
             self._monolithic_solution = idstn(f_hat / (lam / self.dx**2), type=1).ravel()
