@@ -100,6 +100,8 @@ def read_config_file(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

@@ -1,10 +1,10 @@
-"""Minimal dense/sparse linear algebra substrate.
+"""Minimal dense linear algebra substrate.
 
-Vectors are 1-d float64 numpy arrays, dense matrices 2-d arrays, sparse
-matrices scipy CSR. ``solve_direct`` is the small-system oracle used to
-cross-check the iterative solvers; it never appears inside them, so it imports
-``scipy.linalg``/``scipy.sparse.linalg`` on first use: runs that never solve
-directly (Picard, the scalar maps, the transmission runs) skip both imports.
+Vectors are 1-d float64 numpy arrays, matrices 2-d arrays. ``solve_direct``
+is the small dense-system oracle used to cross-check the iterative solvers;
+it never appears inside them, so it imports ``scipy.linalg`` on first use:
+runs that never solve directly (Picard, the scalar maps, the transmission
+runs) skip that import.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class DimensionMismatchError(ValueError):
@@ -22,9 +21,9 @@ class DimensionMismatchError(ValueError):
 class SingularMatrixError(RuntimeError):
     """Factorization met a pivot that is zero to working precision."""
 
-    def __init__(self, pivot_index: int, message: str | None = None):
+    def __init__(self, pivot_index: int):
         self.pivot_index = pivot_index
-        super().__init__(message or f"singular to working precision at pivot {pivot_index}")
+        super().__init__(f"singular to working precision at pivot {pivot_index}")
 
 
 def norm2(x: np.ndarray) -> float:
@@ -43,10 +42,10 @@ def norm2(x: np.ndarray) -> float:
 
 
 def solve_direct(M, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b by LAPACK LU with partial pivoting (dense) or sparse LU.
+    """Solve the dense system M x = b by LAPACK LU with partial pivoting.
 
     Intended for reference solutions: fixed points of linear maps and the
-    cross-checks of the Krylov solvers and of the transmission oracle.
+    cross-checks of the Krylov solvers.
     Residuals satisfy ||Mx - b|| <= 1e-10 (||M|| ||x|| + ||b||) for
     reasonably conditioned systems.
 
@@ -55,20 +54,13 @@ def solve_direct(M, b: np.ndarray) -> np.ndarray:
             offending pivot index.
     """
     b = np.asarray(b, dtype=float)
-    if not sp.issparse(M):
-        M = np.asarray(M, dtype=float)
+    M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"matrix has shape {M.shape}, not square")
     if M.shape[0] != b.shape[0]:
         raise DimensionMismatchError(
             f"matrix is {M.shape[0]}x{M.shape[1]}, rhs has length {b.shape[0]}"
         )
-    if sp.issparse(M):
-        return _solve_sparse(M, b)
-    return _solve_dense(M, b)
-
-
-def _solve_dense(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     from scipy.linalg import lapack
 
     if M.shape[0] == 0:
@@ -81,12 +73,3 @@ def _solve_dense(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     x, _ = lapack.dgetrs(lu, piv, b)
     return x
 
-
-def _solve_sparse(M, b: np.ndarray) -> np.ndarray:
-    import scipy.sparse.linalg as spla
-
-    try:
-        lu = spla.splu(sp.csc_matrix(M))
-    except RuntimeError as exc:  # SuperLU reports "singular" without an index
-        raise SingularMatrixError(-1, f"sparse factorization failed: {exc}") from exc
-    return lu.solve(b)

@@ -85,16 +85,15 @@ def picard_iterate(
     criterion: TerminationCriterion,
     tol: float,
     max_iter: int = 500,
-    x0: np.ndarray | None = None,
 ) -> FixedPointTrace:
-    """Run the Picard iteration A(x^k) x^{k+1} = b with inexact GMRES solves.
+    """Run the Picard iteration A(x^k) x^{k+1} = b from zero with inexact GMRES solves.
 
     Each step assembles A(x^{k+1}) once, for the nonlinear residual
     ||A(x) x - b|| (recorded per step in ``trace.residuals``) and the next
     solve. The outer exit tests that residual <= tol, not the increment.
     """
     b = picard_forcing(spec)
-    x0 = np.zeros(spec.n) if x0 is None else np.asarray(x0, dtype=float)
+    x0 = np.zeros(spec.n)
     inner_cap = max(2 * spec.n, 50)
     A = picard_assemble(spec, x0)
     residuals: list[float] = []

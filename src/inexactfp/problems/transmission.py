@@ -13,8 +13,9 @@ Unknown blocks:
   full five-point stencil; their Omega1-side neighbour value is data in b2,
   which realizes the flux coupling. At a fixed point of the sweep the
   stacked subdomain solutions satisfy the single-domain (monolithic)
-  five-point system exactly, so its solution, by a fast 2-D sine transform
-  (``TransmissionSystem.monolithic_solution``), is the iteration's oracle.
+  five-point system on the stacked block forcings exactly, so its solution,
+  by a fast 2-D sine transform (``TransmissionSystem.monolithic_solution``),
+  is the iteration's oracle.
 
 One sweep solves the Dirichlet block with the current interface values and
 the Neumann block with the coupling column of the previous sweep's Omega1
@@ -67,22 +68,20 @@ class TransmissionSystem:
     B-ordered vectors are the interface column followed by the flattened
     Omega2 block. The oracle ``monolithic_solution`` is a 2-D sine transform.
 
-    All three operators are blocks of one five-point matrix, the CSR
-    ``monolithic``: ``B`` (CSR) of the interface column and Omega2,
-    interface first, and ``A`` of the Omega1 columns. ``A`` is DIA with
-    ascending offsets ``-m, -1, 0, 1, m``, so each row sums its terms in
-    the column order of a sorted CSR row, and CG applies it with scipy's
-    ``dia_matvec`` kernel. The zeros stored at the ends of grid rows add a
-    signed zero to a sum that is never -0.0, so for finite vectors
-    ``A @ v`` has the bits of the CSR product; ``A.tocsr()`` drops them.
+    Both operators are blocks of the monolithic five-point matrix: ``B``
+    (CSR) of the interface column and Omega2, interface first, and ``A`` of
+    the Omega1 columns. ``A`` is DIA with ascending offsets
+    ``-m, -1, 0, 1, m``, so each row sums its terms in the column order of a
+    sorted CSR row, and CG applies it with scipy's ``dia_matvec`` kernel.
+    The zeros stored at the ends of grid rows add a signed zero to a sum
+    that is never -0.0, so for finite vectors ``A @ v`` has the bits of the
+    CSR product; ``A.tocsr()`` drops them.
     """
 
     dx: float
     n_cells: int  # cells per unit length; interface at grid line n_cells
     A: sp.dia_matrix
     B: sp.csr_matrix
-    monolithic: sp.csr_matrix
-    monolithic_rhs: np.ndarray
     f_omega1: np.ndarray  # forcing samples on Omega1 interior, A-ordering
     f_block2: np.ndarray  # forcing samples on Gamma + Omega2 interior, B-ordering
     _monolithic_solution: np.ndarray | None = field(default=None, repr=False)
@@ -122,24 +121,24 @@ class TransmissionSystem:
 
     # -- oracles -------------------------------------------------------------
     def monolithic_solution(self) -> np.ndarray:
-        """The monolithic solution, cached: ``monolithic`` is dx^-2 times the
-        negated five-point Laplacian with zero walls on a uniform grid, so its
-        eigenvectors are products of DST-I modes and a 2-D sine transform each
-        way solves it, exactly in exact arithmetic (Buzbee, Golub and Nielson 1970)."""
+        """The monolithic solution, cached: its matrix, dx^-2 times the negated
+        five-point Laplacian with zero walls on a uniform grid, has products of
+        DST-I modes as eigenvectors, so a 2-D sine transform each way solves it,
+        exactly in exact arithmetic (Buzbee, Golub and Nielson 1970)."""
         if self._monolithic_solution is None:
             from scipy.fft import dstn, idstn  # on first use, like linalg's LAPACK
 
             n = self.n_cells
             j, i = np.ogrid[1:n, 1 : 2 * n]
             lam = 4 * np.sin(np.pi * j / (2 * n)) ** 2 + 4 * np.sin(np.pi * i / (4 * n)) ** 2
-            f_hat = dstn(self.grid(self.monolithic_rhs), type=1)
+            f_hat = dstn(self.grid(-self.assemble_full(self.f_omega1, self.f_block2)), type=1)
             self._monolithic_solution = idstn(f_hat / (lam / self.dx**2), type=1).ravel()
         return self._monolithic_solution
 
     def assemble_full(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
         """Stack subdomain solutions into monolithic ordering."""
         m = self.interface_count
-        full = np.empty_like(self.monolithic_rhs)
+        full = np.empty(m * (2 * m + 1))
         grid = self.grid(full)
         grid[:, :m] = self.grid(u1)
         grid[:, m] = u2[:m]
@@ -182,10 +181,10 @@ def transmission_assemble(dx: float) -> TransmissionSystem:
     m = n - 1
     ih2 = 1.0 / h**2
 
-    # forcing on the (j, i) interior grid, plus one last column at x = 1
-    # exactly for the interface rows of B (n * h can miss 1 by an ulp)
-    y, x = np.mgrid[1:n, 1 : 2 * n + 1] * h
-    x[:, -1] = 1.0
+    # forcing on the (j, i) interior grid, the interface column at x = 1
+    # exactly (n * h can miss 1 by an ulp)
+    y, x = np.mgrid[1:n, 1 : 2 * n] * h
+    x[:, m] = 1.0
     fs = default_forcing(x, y)
 
     A = _five_point(m, m, ih2).todia()
@@ -199,10 +198,8 @@ def transmission_assemble(dx: float) -> TransmissionSystem:
         n_cells=n,
         A=A,
         B=B,
-        monolithic=_five_point(m, 2 * n - 1, ih2),
-        monolithic_rhs=-fs[:, :-1].ravel(),
         f_omega1=fs[:, :m].ravel(),
-        f_block2=np.concatenate([fs[:, -1], fs[:, n:-1].ravel()]),
+        f_block2=np.concatenate([fs[:, m], fs[:, n:].ravel()]),
     )
 
 

@@ -330,6 +330,7 @@ def test_cli_config_file_with_flag_override(tmp_path):
     (["--experiment", "transmission-error", "--dx", "1/10", "--export-fields", ""], None),
     (["--experiment", "transmission-error", "--dx", "1/10", "--config", "{cfg}"],
      "export-fields =\n"),
+    (["--config", "{cfg}"], b"experiment = scalar-direct\n\xff\n"),
 ], ids=["eps-abc", "dx-1/0", "config-tol-oops", "config-missing", "tol-nan", "dx-nan",
         "max-outer-0", "max-outer-neg", "tau-empty", "export-fields-scalar",
         "ls-lf-lengths", "ls-lf-default-length", "efficiency-two-dx",
@@ -340,10 +341,12 @@ def test_cli_config_file_with_flag_override(tmp_path):
         "tau-zero", "tol-negative", "acceptance-experiment-flags", "acceptance-out",
         "acceptance-config", "experiment-acceptance-flags", "gammas-empty-entry",
         "config-gammas-empty-entry", "out-empty", "config-out-empty", "export-fields-empty",
-        "config-export-fields-empty"])
+        "config-export-fields-empty", "config-not-utf8"])
 def test_cli_malformed_number_is_usage_error(argv, config_text, tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"  # written only when the case has a file
-    if config_text is not None:
+    if isinstance(config_text, bytes):
+        cfg_file.write_bytes(config_text)
+    elif config_text is not None:
         cfg_file.write_text(config_text)
     assert main([arg.format(cfg=cfg_file) for arg in argv]) == 1
     captured = capsys.readouterr()

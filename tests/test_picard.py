@@ -98,15 +98,6 @@ def test_absolute_criterion_plateaus():
     assert 1e-5 <= trace.residuals[-1] <= 1e-2
 
 
-def test_exact_start_stagnates_immediately():
-    trace = picard_iterate(
-        SPEC, TerminationCriterion("rel", 1e-1), tol=1e-12, x0=SPEC.exact_solution()
-    )
-    assert trace.terminated_by is Termination.INNER_STAGNATION
-    assert trace.steps == 1
-    assert trace.total_inner_iterations == 0
-
-
 def test_max_iter_caps_outer_steps():
     trace = picard_iterate(SPEC, TerminationCriterion("rel", 1e-1), tol=1e-12, max_iter=3)
     assert trace.terminated_by is Termination.MAX_ITER
