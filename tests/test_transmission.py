@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy.sparse.linalg import splu
 
+from inexactfp.experiments import export_field_csvs
 from inexactfp.fixedpoint import Termination
 from inexactfp.krylov import TerminationCriterion, _as_apply, cg_solve
 from inexactfp.linalg import norm2, solve_direct
@@ -261,6 +264,63 @@ def test_dia_block_is_bitwise_the_csr_laplacian_product(n):
     for w in (v, -v, np.full(size, -0.0), np.ones(size)):
         assert (A @ w).tobytes() == (csr @ w).tobytes()
         assert apply_op(w).tobytes() == (csr @ w).tobytes()
+
+
+# sha256 of each assembled array's dtype, shape and bytes at the benchmark's
+# mesh grids (its seeds shift n = 80 and 160 by up to one cell; the per-node
+# reference test stops at n = 49), then of the two field CSVs at n = 80
+ASSEMBLY_ARRAYS = ("A.offsets", "A.data", "B.indptr", "B.indices", "B.data",
+                   "f_omega1", "f_block2")
+ASSEMBLY_DIGESTS = {
+    79: ["5a591f06f4281ef5a18bacce97b623d6d74149ab1169f75285a7a7d5ae7146a6",
+         "615ba556153af8e6d5d17e7cc4361b9ac18373808c3d1aaa1d911a5b1c99a9a4",
+         "9a806ef59c16a1fa41d30682eed612ab53221f32f21e97c87f19f78def347de4",
+         "1830f4ed93cb255b44ad94a61d9156644153153dcd88f254cd6df55c0e1361fa",
+         "8d6bed0b4e5515fb2fb779613083a2f0d78d439dcd9c968eaf67fe26e5ce9182",
+         "f26f4f018d71384bbcaee91413ac55906e7b4030abaec5d968ae7809cfc279c5",
+         "ec22d0c1bc9b6934b0fe7ef7ec7ffa15da2ace0c256387ba89c475763599fc16"],
+    80: ["54fb980dbbac7fb6fd1bce9c75517a49e325807bf5d09e9d58a346dfe5c4b744",
+         "7a7ae662db0ec963ed89ff0c8098d8cd43cbdffadf169d74ec47a130b83468ba",
+         "389a74fb2a631e58b7fb54fb54ad7dadbec3b34f8071e4c715787c3662dc30ed",
+         "5fad74b36fbbd77d22962e7215f0cad6d75be59a3a50dd1142fbce688137fb4a",
+         "ea5d94ee607f51539daa22b0c945b9ac9daaa4190108c27ca77d5b739d8caabf",
+         "4a0d5c59873b197a36c0c7f41721d3750f9d7539d1f44076a4e15763729f8127",
+         "2abebcee1c054eb274c006dcba8f958714e49dcf10a0261ac2e5cc702583527c"],
+    81: ["548b04bf1af0101a29249c04dc84e7d15e91801dac026dc3ebb4cd1fafb67428",
+         "f042c0cb948dc4a318c64990c2e99d02a3ffefb2fe531624dd1f681d01a90e43",
+         "67c53ec1ead1a19b5d18c9e19a077ff495e0ffc3a349591269ac481321208f5e",
+         "cfbb084759aab0af2d88aed5a810539accb45f40c08119adaa3f811eeedd6b8a",
+         "53ec90ab3505203e88357938715d737b6f72aa14d1f78b6f78cee15b9cab9351",
+         "a87878b71fd571549287f4684907cf27462173444dbc34d48ce19224b7966d2a",
+         "c83024db94384709e2245deb3d632cf9567794827dbe926dce85cbae5b6935a5"],
+    160: ["044d20f0d1668d8e6198f1fb3549a95be41d97200dda6066df9473b36c34b842",
+          "859842ecda85d79d32a0c50b6383266c38de5562624fdcf459865224f5b191dd",
+          "f3aafdf272fe91d21369a68e13d06c9a3cd5ff042af84b02f137bc89a04701e8",
+          "a1710c4b056eb539ee053929f87f38e111ffb556c06e0abd685598d092fae71e",
+          "2bcf8ab4fb4b4f175e637cb0be1e51f45c97b51a31bae1470e684c1d1471f017",
+          "bdfc9e4d5ae264549b82a17db6d4d0152cc623b312f38b47269ca04d6127cebf",
+          "c0d33160629577fcf727293813042641a664e31e7f7d8ca0c32648fb3d11cec2"],
+}
+FIELD_CSV_DIGESTS_80 = [
+    "28e11d500d8cd0d02b38c27c558a762cfc738d370960a82027a1d20ed65e13b7",
+    "fd22c8a783ff8b2f7f6ed8901901aaac5e57643539e7510b847ed44437aa8caa",
+]
+
+
+def array_digest(a):
+    a = np.ascontiguousarray(a)
+    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+
+def test_benchmark_grid_assembly_and_export_bytes_pinned(tmp_path):
+    for n, digests in ASSEMBLY_DIGESTS.items():
+        sys_ = transmission_assemble(1.0 / n)
+        arrays = (sys_.A.offsets, sys_.A.data, sys_.B.indptr, sys_.B.indices,
+                  sys_.B.data, sys_.f_omega1, sys_.f_block2)
+        got = {name: array_digest(a) for name, a in zip(ASSEMBLY_ARRAYS, arrays)}
+        assert got == dict(zip(ASSEMBLY_ARRAYS, digests)), n
+    paths = export_field_csvs(1 / 80, str(tmp_path / "p_"))
+    assert [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths] == FIELD_CSV_DIGESTS_80
 
 
 # outer sweeps and CG iterations at dx = 1/20; a last-bit change in the
