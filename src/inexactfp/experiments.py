@@ -493,15 +493,16 @@ def _echo_config(cfg: ExperimentConfig) -> str:
 def export_field_csvs(dx: float, prefix: str) -> list[str]:
     """Write (x, y, value) CSV grids of the exact and discrete fields."""
     x, y, exact, discrete = field_grids(transmission_assemble(dx))
-    # x is constant down each column and y along each row: format each once
+    # x is constant down each column and y along each row: a grid row's
+    # template joins its y into the x prefixes, and one % formats its values
     xs = [f"{xv:.6g}," for xv in x[0].tolist()]
-    ys = [f"{yv:.6g}," for yv in y[:, 0].tolist()]
+    cells = [xs[0], *["%.6e\n" + xp for xp in xs[1:]], "%.6e\n"]
     paths = []
     for which, values in (("exact", exact), ("discrete", discrete)):
         path = f"{prefix}{which}.csv"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x,y,value\n")
-            for yp, row in zip(ys, values.tolist()):
-                fh.write("".join([f"{xp}{yp}{v:.6e}\n" for xp, v in zip(xs, row)]))
+            for yv, row in zip(y[:, 0].tolist(), values.tolist()):
+                fh.write(f"{yv:.6g},".join(cells) % tuple(row))
         paths.append(path)
     return paths

@@ -151,17 +151,25 @@ class TransmissionSystem:
         return float(np.abs(discrete - exact).max())
 
 
-def _five_point(rows: int, cols: int, ih2: float) -> sp.csr_matrix:
+def _five_point(rows: int, cols: int, ih2: float) -> sp.dia_matrix:
     """ih2 times the negated five-point Laplacian on a row-major (rows, cols)
-    grid of interior nodes with zero boundary values: 4 on the diagonal, -1
-    per neighbour, each row in sorted column order, no stored zeros."""
-    k = np.arange(rows * cols).reshape(rows, cols)
-    neighbours = np.stack([k - cols, k - 1, k, k + 1, k + cols], axis=-1)
-    keep = np.ones(neighbours.shape, dtype=bool)
-    keep[0, :, 0] = keep[:, 0, 1] = keep[:, -1, 3] = keep[-1, :, 4] = False
-    data = np.broadcast_to(ih2 * np.array([-1.0, -1.0, 4.0, -1.0, -1.0]), keep.shape)[keep]
-    indptr = np.r_[0, keep.sum(axis=-1).cumsum()]
-    return sp.csr_matrix((data, neighbours[keep], indptr), shape=(k.size, k.size))
+    grid of interior nodes with zero boundary values, as DIA with ascending
+    offsets ``-cols, -1, 0, 1, cols``: 4 on the diagonal and -1 per
+    neighbour. Where a neighbour is a wall the diagonal stores a zero, and a
+    diagonal with no nonzero (on a one-row or one-column grid) is left out,
+    so ``tocsr()`` has sorted rows and no stored zeros."""
+    size = rows * cols
+    data = np.empty((5, size))
+    data[:] = ih2 * np.array([[-1.0], [-1.0], [4.0], [-1.0], [-1.0]])
+    # data[k, c] is the entry in column c of row c - offsets[k]; it is zero
+    # where that row is off the grid or node c is across a wall from it
+    data[0, size - cols:] = 0.0
+    data[1].reshape(rows, cols)[:, -1] = 0.0
+    data[3].reshape(rows, cols)[:, 0] = 0.0
+    data[4, :cols] = 0.0
+    keep = data.any(axis=1)
+    offsets = np.array([-cols, -1, 0, 1, cols])[keep]
+    return sp.dia_matrix((data[keep], offsets), shape=(size, size))
 
 
 def mesh_cells(dx: float) -> int:
@@ -181,16 +189,17 @@ def transmission_assemble(dx: float) -> TransmissionSystem:
     m = n - 1
     ih2 = 1.0 / h**2
 
-    # forcing on the (j, i) interior grid, the interface column at x = 1
-    # exactly (n * h can miss 1 by an ulp)
-    y, x = np.mgrid[1:n, 1 : 2 * n] * h
-    x[:, m] = 1.0
+    # forcing on the (j, i) interior grid from its axes, the interface
+    # column at x = 1 exactly (n * h can miss 1 by an ulp)
+    y = np.arange(1, n)[:, None] * h
+    x = np.arange(1, 2 * n) * h
+    x[m] = 1.0
     fs = default_forcing(x, y)
 
-    A = _five_point(m, m, ih2).todia()
+    A = _five_point(m, m, ih2)
     block = np.arange(m * (m + 1)).reshape(m, m + 1)  # interface column 0
     order = np.r_[block[:, 0], block[:, 1:].ravel()]
-    B = _five_point(m, m + 1, ih2)[order][:, order]
+    B = _five_point(m, m + 1, ih2).tocsr()[order][:, order]
     B.sort_indices()
 
     return TransmissionSystem(
@@ -291,4 +300,4 @@ def field_grids(sys: TransmissionSystem):
     y, x = np.mgrid[0 : n + 1, 0 : 2 * n + 1] * sys.dx
     discrete = np.zeros(x.shape)
     discrete[1:n, 1 : 2 * n] = sys.grid(sys.monolithic_solution())
-    return x, y, exact_solution(x, y), discrete
+    return x, y, exact_solution(x[:1], y[:, :1]), discrete

@@ -1,13 +1,17 @@
 import csv
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import inexactfp
 from inexactfp.cli import _KEYS, main, read_config_file
@@ -460,6 +464,37 @@ def test_export_field_csvs_bytes_pinned_fine_grid(tmp_path):
         "e81029230dfaf3e4d34b7de974d42e72a7039a1e19f8f1daf510f25739c84b03",
         "22fd060b3f106dad4c0bd8ebb54c2f5eb96816b9561d7e6db2f70c1417afe060",
     ]
+
+
+EDGE_FLOATS = st.one_of(st.floats(), st.sampled_from([
+    -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+    math.nan, math.inf, -math.inf,
+]))
+
+
+@st.composite
+def field_grid_draws(draw):
+    """(x, y, exact, discrete) grids as ``field_grids`` lays them out: x
+    constant down each column, y along each row."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    x, y = np.meshgrid(draw(st.lists(EDGE_FLOATS, min_size=cols, max_size=cols)),
+                       draw(st.lists(EDGE_FLOATS, min_size=rows, max_size=rows)))
+    values = [draw(st.lists(EDGE_FLOATS, min_size=rows * cols, max_size=rows * cols))
+              for _ in range(2)]
+    return x, y, *(np.reshape(v, (rows, cols)) for v in values)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(grids=field_grid_draws())
+def test_export_field_csvs_formats_each_point_like_an_fstring(grids, tmp_path_factory):
+    prefix = str(tmp_path_factory.getbasetemp() / "drawn_")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inexactfp.experiments, "field_grids", lambda sys: grids)
+        paths = export_field_csvs(1 / 2, prefix)
+    x, y = grids[0].ravel().tolist(), grids[1].ravel().tolist()
+    for path, values in zip(paths, grids[2:]):
+        want = [f"{xv:.6g},{yv:.6g},{v:.6e}" for xv, yv, v in zip(x, y, values.ravel().tolist())]
+        assert Path(path).read_text(encoding="utf-8").split("\n") == ["x,y,value", *want, ""]
 
 
 # sha256 of the default tables of the scalar and 2x2 experiments; the md

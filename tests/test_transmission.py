@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -23,7 +24,7 @@ from inexactfp.problems import (
     solution_errors,
     transmission_assemble,
 )
-from inexactfp.problems.transmission import default_forcing
+from inexactfp.problems.transmission import _five_point, default_forcing
 
 
 def spd_spot_check(matrix: sp.csr_matrix, probes: int = 3) -> bool:
@@ -247,6 +248,25 @@ def test_stencil_matches_per_node_reference(n):
         assert got_part.dtype == want_part.dtype and got_part.tobytes() == want_part.tobytes()
     for name in ("f_omega1", "f_block2"):
         np.testing.assert_array_equal(getattr(sys_, name), ref[name], err_msg=name)
+
+
+@pytest.mark.parametrize("rows, cols", list(itertools.product([1, 2, 3, 5], repeat=2)))
+def test_five_point_matches_dense_loops(rows, cols):
+    ih2 = 9.0
+    size = rows * cols
+    want = np.zeros((size, size))
+    for j, i in itertools.product(range(rows), range(cols)):
+        want[j * cols + i, j * cols + i] = 4 * ih2
+        for jj, ii in ((j - 1, i), (j, i - 1), (j, i + 1), (j + 1, i)):
+            if 0 <= jj < rows and 0 <= ii < cols:
+                want[j * cols + i, jj * cols + ii] = -ih2
+    got = _five_point(rows, cols, ih2)
+    assert got.format == "dia"
+    np.testing.assert_array_equal(got.toarray(), want)
+    # strictly ascending offsets, exactly the diagonals holding a nonzero
+    nonempty = [k for k in range(1 - size, size) if np.diagonal(want, k).any()]
+    assert got.offsets.tolist() == nonempty
+    assert got.tocsr().nnz == np.count_nonzero(want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 10, 49, 80])
