@@ -493,8 +493,7 @@ def _echo_config(cfg: ExperimentConfig) -> str:
 def export_field_csvs(dx: float, prefix: str) -> list[str]:
     """Write (x, y, value) CSV grids of the exact and discrete fields."""
     x, y, exact, discrete = field_grids(transmission_assemble(dx))
-    # x is constant down each column and y along each row: a grid row's
-    # template joins its y into the x prefixes, and one % formats its values
+    # x is fixed down each column, y along each row: one % formats a grid row
     xs = [f"{xv:.6g}," for xv in x[0].tolist()]
     cells = [xs[0], *["%.6e\n" + xp for xp in xs[1:]], "%.6e\n"]
     paths = []

@@ -68,14 +68,13 @@ class TransmissionSystem:
     B-ordered vectors are the interface column followed by the flattened
     Omega2 block. The oracle ``monolithic_solution`` is a 2-D sine transform.
 
-    Both operators are blocks of the monolithic five-point matrix: ``B``
-    (CSR) of the interface column and Omega2, interface first, and ``A`` of
-    the Omega1 columns. ``A`` is DIA with ascending offsets
-    ``-m, -1, 0, 1, m``, so each row sums its terms in the column order of a
-    sorted CSR row, and CG applies it with scipy's ``dia_matvec`` kernel.
-    The zeros stored at the ends of grid rows add a signed zero to a sum
-    that is never -0.0, so for finite vectors ``A @ v`` has the bits of the
-    CSR product; ``A.tocsr()`` drops them.
+    Both operators are blocks of the monolithic five-point matrix, built by
+    ``_five_point``: ``A`` of the Omega1 columns in its DIA form, and ``B``
+    (CSR, the DIA form's ``tocsr()``) of the interface column and Omega2,
+    interface first. ``A``'s ascending offsets sum each row's terms in the
+    column order of a sorted CSR row, and its zeros stored across the walls
+    add a signed zero to a sum that is never -0.0, so for finite vectors
+    ``A @ v``, scipy's ``dia_matvec`` kernel in CG, has the CSR product's bits.
     """
 
     dx: float
@@ -153,23 +152,14 @@ class TransmissionSystem:
 
 def _five_point(rows: int, cols: int, ih2: float) -> sp.dia_matrix:
     """ih2 times the negated five-point Laplacian on a row-major (rows, cols)
-    grid of interior nodes with zero boundary values, as DIA with ascending
-    offsets ``-cols, -1, 0, 1, cols``: 4 on the diagonal and -1 per
-    neighbour. Where a neighbour is a wall the diagonal stores a zero, and a
-    diagonal with no nonzero (on a one-row or one-column grid) is left out,
-    so ``tocsr()`` has sorted rows and no stored zeros."""
+    grid with zero walls, as DIA at ascending offsets -cols, -1, 0, 1, cols:
+    zeros stored across the walls, diagonals without a nonzero left out."""
     size = rows * cols
-    data = np.empty((5, size))
-    data[:] = ih2 * np.array([[-1.0], [-1.0], [4.0], [-1.0], [-1.0]])
-    # data[k, c] is the entry in column c of row c - offsets[k]; it is zero
-    # where that row is off the grid or node c is across a wall from it
-    data[0, size - cols:] = 0.0
-    data[1].reshape(rows, cols)[:, -1] = 0.0
-    data[3].reshape(rows, cols)[:, 0] = 0.0
-    data[4, :cols] = 0.0
+    data = np.repeat(ih2 * np.array([[-1.0], [-1.0], [4.0], [-1.0], [-1.0]]), size, axis=1)
+    grid = data.reshape(5, rows, cols)  # data[k, c] is entry (c - offsets[k], c)
+    grid[0, -1] = grid[1, :, -1] = grid[3, :, 0] = grid[4, 0] = 0.0  # no neighbour
     keep = data.any(axis=1)
-    offsets = np.array([-cols, -1, 0, 1, cols])[keep]
-    return sp.dia_matrix((data[keep], offsets), shape=(size, size))
+    return sp.dia_matrix((data[keep], np.array([-cols, -1, 0, 1, cols])[keep]), shape=(size, size))
 
 
 def mesh_cells(dx: float) -> int:
@@ -191,8 +181,7 @@ def transmission_assemble(dx: float) -> TransmissionSystem:
 
     # forcing on the (j, i) interior grid from its axes, the interface
     # column at x = 1 exactly (n * h can miss 1 by an ulp)
-    y = np.arange(1, n)[:, None] * h
-    x = np.arange(1, 2 * n) * h
+    y, x = np.arange(1, n)[:, None] * h, np.arange(1, 2 * n) * h
     x[m] = 1.0
     fs = default_forcing(x, y)
 
@@ -294,8 +283,8 @@ def solution_errors(sys: TransmissionSystem, state: DnState) -> tuple[float, flo
 
 def field_grids(sys: TransmissionSystem):
     """(x, y, exact, discrete) arrays on the closed grid, rows j = 0 .. n:
-    the closed-form field and the monolithic finite difference solution,
-    which carries zeros on the boundary."""
+    the closed-form field, evaluated on the grid axes and broadcast, and the
+    monolithic finite difference solution, which is zero on the boundary."""
     n = sys.n_cells
     y, x = np.mgrid[0 : n + 1, 0 : 2 * n + 1] * sys.dx
     discrete = np.zeros(x.shape)
