@@ -71,10 +71,11 @@ class TransmissionSystem:
     Both operators are blocks of the monolithic five-point matrix, built by
     ``_five_point``: ``A`` of the Omega1 columns in its DIA form, and ``B``
     (CSR, the DIA form's ``tocsr()``) of the interface column and Omega2,
-    interface first. ``A``'s ascending offsets sum each row's terms in the
-    column order of a sorted CSR row, and its zeros stored across the walls
-    add a signed zero to a sum that is never -0.0, so for finite vectors
-    ``A @ v``, scipy's ``dia_matvec`` kernel in CG, has the CSR product's bits.
+    interface first. ``A``'s ascending offsets make each row sum its terms
+    in the column order of a sorted CSR row, and its zeros stored across the
+    walls add a signed zero to a sum that is never -0.0, so for finite
+    vectors ``A @ v``, scipy's ``dia_matvec`` kernel in CG, has the CSR
+    product's bits.
     """
 
     dx: float
@@ -157,7 +158,7 @@ def _five_point(rows: int, cols: int, ih2: float) -> sp.dia_matrix:
     size = rows * cols
     data = np.repeat(ih2 * np.array([[-1.0], [-1.0], [4.0], [-1.0], [-1.0]]), size, axis=1)
     grid = data.reshape(5, rows, cols)  # data[k, c] is entry (c - offsets[k], c)
-    grid[0, -1] = grid[1, :, -1] = grid[3, :, 0] = grid[4, 0] = 0.0  # no neighbour
+    grid[0, -1] = grid[1, :, -1] = grid[3, :, 0] = grid[4, 0] = 0.0  # across a wall
     keep = data.any(axis=1)
     return sp.dia_matrix((data[keep], np.array([-cols, -1, 0, 1, cols])[keep]), shape=(size, size))
 
