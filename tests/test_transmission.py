@@ -343,6 +343,25 @@ def test_benchmark_grid_assembly_and_export_bytes_pinned(tmp_path):
     assert [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths] == FIELD_CSV_DIGESTS_80
 
 
+# sha256 of both field CSVs at the edge grids of the export: n = 2 has a
+# one-point transform axis, at n = 49 n * (1/n) rounds below 1, and n = 160
+# is the benchmark's fine grid
+FIELD_CSV_DIGESTS = {
+    2: ["f79861b3167ef57a6ffe8c06015e0e13fe9ef7c54dc67511d691e8f89775e685",
+        "4c46bcd2a8962b93268c69e0979c585d5e3588b5cc86bf227611fa6fc7c9df24"],
+    49: ["6c5604a62222746bc1de58823c91e4a74b8b209395525d39f54c98b9e3920104",
+         "1685e5c7acd249d721b36ad688ee534437544a7e01f0bf5420e8f89d12fa4876"],
+    160: ["242c08f4a2a1e3e5428b010a8625816c01773c435a0179b657fce3a125fa3dd8",
+          "3852a58bb40e4e4927bb8beaba0434af79582c281ea70950d3e802558af82205"],
+}
+
+
+@pytest.mark.parametrize("n", sorted(FIELD_CSV_DIGESTS))
+def test_export_bytes_pinned_at_edge_grids(n, tmp_path):
+    paths = export_field_csvs(1 / n, str(tmp_path / "p_"))
+    assert [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths] == FIELD_CSV_DIGESTS[n]
+
+
 # outer sweeps and CG iterations at dx = 1/20; a last-bit change in the
 # matvec or the CG updates can move them. The abs run ends on a Neumann
 # solve of 0 iterations; the rel run's late solves stop at the float64 floor
