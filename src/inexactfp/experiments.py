@@ -34,6 +34,7 @@ from .problems import (
     dn_iterate,
     field_grids,
     linear_nested,
+    monolithic_field,
     nested_local_derivatives,
     nested_scalar,
     picard_iterate,
@@ -491,8 +492,9 @@ def _echo_config(cfg: ExperimentConfig) -> str:
 
 
 def export_field_csvs(dx: float, prefix: str) -> list[str]:
-    """Write (x, y, value) CSV grids of the exact and discrete fields."""
-    x, y, exact, discrete = field_grids(transmission_assemble(dx))
+    """Write (x, y, value) CSV grids of the exact and discrete fields; the
+    discrete field is the oracle, solved from the mesh alone."""
+    x, y, exact, discrete = field_grids(dx, monolithic_field(dx))
     # x is fixed down each column, y along each row: one % formats a grid row
     xs = [f"{xv:.6g}," for xv in x[0].tolist()]
     cells = [xs[0], *["%.6e\n" + xp for xp in xs[1:]], "%.6e\n"]

@@ -20,6 +20,7 @@ from .transmission import (
     dn_step,
     exact_solution,
     field_grids,
+    monolithic_field,
     solution_errors,
     transmission_assemble,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "exact_solution",
     "field_grids",
     "linear_nested",
+    "monolithic_field",
     "nested_local_derivatives",
     "nested_scalar",
     "picard_assemble",

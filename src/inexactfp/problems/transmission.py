@@ -14,8 +14,8 @@ Unknown blocks:
   which realizes the flux coupling. At a fixed point of the sweep the
   stacked subdomain solutions satisfy the single-domain (monolithic)
   five-point system on the stacked block forcings exactly, so its solution,
-  by a fast 2-D sine transform (``TransmissionSystem.monolithic_solution``),
-  is the iteration's oracle.
+  a function of the mesh alone by a fast 2-D sine transform
+  (``monolithic_field``), is the iteration's oracle.
 
 One sweep solves the Dirichlet block with the current interface values and
 the Neumann block with the coupling column of the previous sweep's Omega1
@@ -66,7 +66,9 @@ class TransmissionSystem:
     are Omega1, column ``m`` is the interface and ``[:, m + 1:]`` are
     Omega2. Omega1 vectors are the ``(m, m)`` block flattened;
     B-ordered vectors are the interface column followed by the flattened
-    Omega2 block. The oracle ``monolithic_solution`` is a 2-D sine transform.
+    Omega2 block. The oracle ``monolithic_solution`` is ``monolithic_field``
+    at this mesh, flattened and cached: solved from the mesh alone, it reads
+    neither operator nor the stored forcings.
 
     Both operators are blocks of the monolithic five-point matrix, built by
     ``_five_point``: ``A`` of the Omega1 columns in its DIA form, and ``B``
@@ -121,18 +123,10 @@ class TransmissionSystem:
 
     # -- oracles -------------------------------------------------------------
     def monolithic_solution(self) -> np.ndarray:
-        """The monolithic solution, cached: its matrix, dx^-2 times the negated
-        five-point Laplacian with zero walls on a uniform grid, has products of
-        DST-I modes as eigenvectors, so a 2-D sine transform each way solves it,
-        exactly in exact arithmetic (Buzbee, Golub and Nielson 1970)."""
+        """The monolithic solution in monolithic ordering, cached:
+        ``monolithic_field(dx)`` flattened."""
         if self._monolithic_solution is None:
-            from scipy.fft import dstn, idstn  # on first use, like linalg's LAPACK
-
-            n = self.n_cells
-            j, i = np.ogrid[1:n, 1 : 2 * n]
-            lam = 4 * np.sin(np.pi * j / (2 * n)) ** 2 + 4 * np.sin(np.pi * i / (4 * n)) ** 2
-            f_hat = dstn(self.grid(-self.assemble_full(self.f_omega1, self.f_block2)), type=1)
-            self._monolithic_solution = idstn(f_hat / (lam / self.dx**2), type=1).ravel()
+            self._monolithic_solution = monolithic_field(self.dx).ravel()
         return self._monolithic_solution
 
     def assemble_full(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -147,7 +141,7 @@ class TransmissionSystem:
 
     def discretization_max_error(self) -> float:
         """Max-norm error of the monolithic solution against the exact field."""
-        _, _, exact, discrete = field_grids(self)
+        _, _, exact, discrete = field_grids(self.dx, self.grid(self.monolithic_solution()))
         return float(np.abs(discrete - exact).max())
 
 
@@ -173,23 +167,48 @@ def mesh_cells(dx: float) -> int:
     return n
 
 
+def _interior_forcing(n: int) -> np.ndarray:
+    """``default_forcing`` on the (n - 1, 2n - 1) interior grid (j, i), from its
+    axes, the interface column at x = 1 exactly (n * h can miss 1 by an ulp)."""
+    h = 1.0 / n
+    y, x = np.arange(1, n)[:, None] * h, np.arange(1, 2 * n) * h
+    x[n - 1] = 1.0
+    return default_forcing(x, y)
+
+
+def monolithic_field(dx: float) -> np.ndarray:
+    """The monolithic five-point solution for ``default_forcing`` at mesh
+    width ``dx``, as its (n - 1, 2n - 1) interior grid (j, i). Its matrix,
+    dx^-2 times the negated five-point Laplacian with zero walls on a uniform
+    grid, has products of DST-I modes as eigenvectors, so a 2-D sine
+    transform each way solves it, exactly in exact arithmetic (Buzbee, Golub
+    and Nielson 1970); no operator is assembled."""
+    from scipy.fft import dstn, idstn  # on first use, like linalg's LAPACK
+
+    n = mesh_cells(dx)
+    h = 1.0 / n
+    j, i = np.ogrid[1:n, 1 : 2 * n]
+    lam = 4 * np.sin(np.pi * j / (2 * n)) ** 2 + 4 * np.sin(np.pi * i / (4 * n)) ** 2
+    f_hat = dstn(-_interior_forcing(n), type=1)
+    return idstn(f_hat / (lam / h**2), type=1)
+
+
 def transmission_assemble(dx: float) -> TransmissionSystem:
     """Assemble all operators for mesh width ``dx`` (1/dx must be an integer)."""
     n = mesh_cells(dx)
     h = 1.0 / n
     m = n - 1
     ih2 = 1.0 / h**2
-
-    # forcing on the (j, i) interior grid from its axes, the interface
-    # column at x = 1 exactly (n * h can miss 1 by an ulp)
-    y, x = np.arange(1, n)[:, None] * h, np.arange(1, 2 * n) * h
-    x[m] = 1.0
-    fs = default_forcing(x, y)
+    fs = _interior_forcing(n)
 
     A = _five_point(m, m, ih2)
+    # B interface first: rows taken, column indices remapped (faster than a column take)
     block = np.arange(m * (m + 1)).reshape(m, m + 1)  # interface column 0
     order = np.r_[block[:, 0], block[:, 1:].ravel()]
-    B = _five_point(m, m + 1, ih2).tocsr()[order][:, order]
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    C = _five_point(m, m + 1, ih2).tocsr()[order]
+    B = sp.csr_matrix((C.data, inverse[C.indices].astype(C.indices.dtype), C.indptr), C.shape)
     B.sort_indices()
 
     return TransmissionSystem(
@@ -282,12 +301,13 @@ def solution_errors(sys: TransmissionSystem, state: DnState) -> tuple[float, flo
     return norm2(sys.grid(diff)[:, sys.interface_count]), norm2(diff)
 
 
-def field_grids(sys: TransmissionSystem):
-    """(x, y, exact, discrete) arrays on the closed grid, rows j = 0 .. n:
-    the closed-form field, evaluated on the grid axes and broadcast, and the
-    monolithic finite difference solution, which is zero on the boundary."""
-    n = sys.n_cells
-    y, x = np.mgrid[0 : n + 1, 0 : 2 * n + 1] * sys.dx
+def field_grids(dx: float, interior: np.ndarray):
+    """(x, y, exact, discrete) arrays on the closed grid of mesh width ``dx``,
+    rows j = 0 .. n: the closed-form field, evaluated on the grid axes and
+    broadcast, and ``interior``, an (n - 1, 2n - 1) interior grid such as
+    ``monolithic_field(dx)``, with the zero boundary around it."""
+    n = mesh_cells(dx)
+    y, x = np.mgrid[0 : n + 1, 0 : 2 * n + 1] * (1.0 / n)
     discrete = np.zeros(x.shape)
-    discrete[1:n, 1 : 2 * n] = sys.grid(sys.monolithic_solution())
+    discrete[1:n, 1 : 2 * n] = interior
     return x, y, exact_solution(x[:1], y[:, :1]), discrete

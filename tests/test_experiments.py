@@ -489,7 +489,7 @@ def field_grid_draws(draw):
 def test_export_field_csvs_formats_each_point_like_an_fstring(grids, tmp_path_factory):
     prefix = str(tmp_path_factory.getbasetemp() / "drawn_")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inexactfp.experiments, "field_grids", lambda sys: grids)
+        mp.setattr(inexactfp.experiments, "field_grids", lambda dx, interior: grids)
         paths = export_field_csvs(1 / 2, prefix)
     x, y = grids[0].ravel().tolist(), grids[1].ravel().tolist()
     for path, values in zip(paths, grids[2:]):

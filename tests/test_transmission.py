@@ -24,6 +24,7 @@ from inexactfp.problems import (
     solution_errors,
     transmission_assemble,
 )
+from inexactfp.problems import transmission
 from inexactfp.problems.transmission import _five_point, default_forcing
 
 
@@ -206,7 +207,7 @@ def test_second_order_convergence():
 
 
 def test_field_grids_cover_grid_with_boundary(sys10):
-    x, y, exact, discrete = field_grids(sys10)
+    x, y, exact, discrete = field_grids(sys10.dx, sys10.grid(sys10.monolithic_solution()))
     n = sys10.n_cells
     assert x.shape == y.shape == exact.shape == discrete.shape == (n + 1, 2 * n + 1)
     assert (x[0, 0], y[0, 0]) == (0.0, 0.0) and exact[0, 0] == 0.0
@@ -360,6 +361,19 @@ FIELD_CSV_DIGESTS = {
 def test_export_bytes_pinned_at_edge_grids(n, tmp_path):
     paths = export_field_csvs(1 / n, str(tmp_path / "p_"))
     assert [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths] == FIELD_CSV_DIGESTS[n]
+
+
+def test_export_assembles_no_operator(tmp_path, monkeypatch):
+    # the exported discrete field is the oracle, solved from the mesh alone
+    def refuse(*args):
+        raise AssertionError("export_field_csvs assembled an operator")
+
+    monkeypatch.setattr(transmission, "_five_point", refuse)
+    paths = export_field_csvs(1 / 10, str(tmp_path / "p_"))
+    assert [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths] == [
+        "c4c00067680170a332f2bff7a8522d9df43882a09490cbd37d28346f1745631c",
+        "d112d60f1c85893665adf9c52f7379e7d697b8286e37c19b0d66a24b9691a248",
+    ]
 
 
 # outer sweeps and CG iterations at dx = 1/20; a last-bit change in the
