@@ -285,7 +285,7 @@ def check_a9() -> CheckResult:
         diverged or row["full_error"] > 1e2,
         f"dx=1/40 tau=1e-1: status={row['status']}, "
         f"error={row['full_error']:.3e} (expected divergence or error > 1e2; "
-        "not reproducible with this CG, see ledger)",
+        "not reproducible with this CG, see README's acceptance suite)",
     )
     rows = _rows("transmission-error", criterion="relb",
                  taus=list(TRANSMISSION_RELB_REFERENCE), dxs=[0.1])

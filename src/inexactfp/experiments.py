@@ -30,13 +30,13 @@ from .fixedpoint import (
 from .krylov import CRITERION_LABELS, TerminationCriterion
 from .linalg import norm2
 from .problems import (
-    PicardProblemSpec,
     dn_iterate,
     field_grids,
     linear_nested,
     monolithic_field,
     nested_local_derivatives,
     nested_scalar,
+    picard_exact_solution,
     picard_iterate,
     scalar_map,
     solution_errors,
@@ -359,16 +359,14 @@ _PICARD_DEFAULT_TAUS = {
 
 
 def _run_picard(cfg: ExperimentConfig) -> TableReport:
-    spec = PicardProblemSpec(n=64, viscosity=1e-2)
     criteria = ["rel", "abs"] if cfg.criterion is None else [cfg.criterion]
     rows = []
-    exact = spec.exact_solution()
+    exact = picard_exact_solution()
     for label in criteria:
         taus = _PICARD_DEFAULT_TAUS[label] if cfg.taus is None else cfg.taus
         for tau in taus:
-            trace = picard_iterate(
-                spec, TerminationCriterion(label, tau), tol=cfg.tol, max_iter=cfg.max_outer
-            )
+            criterion = TerminationCriterion(label, tau)
+            trace = picard_iterate(criterion, tol=cfg.tol, max_iter=cfg.max_outer)
             rows.append({
                 "criterion": label,
                 "tau": tau,

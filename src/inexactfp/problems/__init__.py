@@ -3,8 +3,8 @@ Picard problem and the two-subdomain transmission problem."""
 
 from .linear import linear_nested
 from .picard import (
-    PicardProblemSpec,
     picard_assemble,
+    picard_exact_solution,
     picard_forcing,
     picard_iterate,
 )
@@ -27,7 +27,6 @@ from .transmission import (
 
 __all__ = [
     "DnState",
-    "PicardProblemSpec",
     "TransmissionSystem",
     "dn_iterate",
     "dn_step",
@@ -38,6 +37,7 @@ __all__ = [
     "nested_local_derivatives",
     "nested_scalar",
     "picard_assemble",
+    "picard_exact_solution",
     "picard_forcing",
     "picard_iterate",
     "scalar_map",

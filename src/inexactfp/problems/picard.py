@@ -5,7 +5,8 @@ with homogeneous Dirichlet ends: second-order diffusion plus first-order
 upwind convection whose velocity field is the lagged iterate. The forcing
 is manufactured from u*(s) = s(1-s) so the discrete system has that exact
 grid function as its solution, which makes "converges to the exact discrete
-solution" a machine-checkable statement.
+solution" a machine-checkable statement. The problem has one configuration:
+N = 64 interior points and viscosity 1e-2.
 
 Each Picard step solves A(x^k) x^{k+1} = b with GMRES started at x^k, so
 the relative-to-initial-residual criterion coincides with the
@@ -14,8 +15,6 @@ relative-to-previous-iterate rule the convergence theory wants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -23,68 +22,45 @@ from ..fixedpoint import FixedPointTrace, Termination, _drive
 from ..krylov import TerminationCriterion, gmres_solve
 from ..linalg import norm2
 
-
-@dataclass(frozen=True)
-class PicardProblemSpec:
-    """Grid size and viscosity of the substitute problem."""
-
-    n: int
-    viscosity: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one interior point, got n={self.n}")
-        if not self.viscosity > 0:
-            raise ValueError(f"viscosity must be positive, got {self.viscosity}")
-
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.n + 1)
-
-    def grid(self) -> np.ndarray:
-        return np.arange(1, self.n + 1) * self.h
-
-    def exact_solution(self) -> np.ndarray:
-        s = self.grid()
-        return s * (1.0 - s)
+N = 64  # interior grid points
+VISCOSITY = 1e-2
 
 
-def picard_assemble(spec: PicardProblemSpec, x: np.ndarray):
-    """Assemble A(x) for the lagged velocity field x.
+def picard_assemble(x: np.ndarray):
+    """Assemble A(x) for the lagged velocity field x on its len(x) grid points.
 
     A(x) = nu * tridiag(-1, 2, -1)/h^2 plus upwind convection: row i uses
     x_i to pick the upwind side, contributing |x_i|/h on the diagonal and
     -|x_i|/h on the upwind neighbour, so diagonal dominance holds for any
-    finite x.
+    finite x. The result is DIA at offsets -1, 0, 1, which sums each row of
+    a product in column order, as CSR does.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != spec.n:
-        raise ValueError(f"velocity field has length {x.shape[0]}, grid has {spec.n}")
-    n, h, nu = spec.n, spec.h, spec.viscosity
-    # the upwind neighbour of row i is left of it when x_i >= 0, else right
-    main = 2.0 * nu / h**2 + np.abs(x) / h
-    lower = -nu / h**2 - np.where(x[1:] >= 0.0, x[1:], 0.0) / h
-    upper = -nu / h**2 + np.where(x[:-1] >= 0.0, 0.0, x[:-1]) / h
-    # the CSR arrays of sp.diags([lower, main, upper], [-1, 0, 1]), built
-    # directly: row i holds columns i - 1, i, i + 1 clipped to the grid
-    rows = np.empty((n, 3))
-    rows[1:, 0], rows[:, 1], rows[:-1, 2] = lower, main, upper
-    cols = np.arange(-1, n - 1, dtype=np.int32)[:, None] + np.arange(3, dtype=np.int32)
-    indptr = np.clip(3 * np.arange(n + 1, dtype=np.int32) - 1, 0, 3 * n - 2)
-    return sp.csr_matrix((rows.ravel()[1:-1], cols.ravel()[1:-1], indptr), shape=(n, n))
+    n, nu = len(x), VISCOSITY
+    h = 1.0 / (n + 1)
+    # the upwind neighbour of row i is left of it when x_i >= 0, else right;
+    # row k of data holds A[j - offsets[k], j] in column j
+    data = np.zeros((3, n))
+    data[0, :-1] = -nu / h**2 - np.where(x[1:] >= 0.0, x[1:], 0.0) / h
+    data[1] = 2.0 * nu / h**2 + np.abs(x) / h
+    data[2, 1:] = -nu / h**2 + np.where(x[:-1] >= 0.0, 0.0, x[:-1]) / h
+    return sp.dia_matrix((data, [-1, 0, 1]), shape=(n, n))
 
 
-def picard_forcing(spec: PicardProblemSpec) -> np.ndarray:
+def picard_exact_solution() -> np.ndarray:
+    """The manufactured solution u*(s) = s(1 - s) on the N interior points."""
+    s = np.arange(1, N + 1) * (1.0 / (N + 1))
+    return s * (1.0 - s)
+
+
+def picard_forcing() -> np.ndarray:
     """The fixed right-hand side A(u*) u* of the manufactured solution u*."""
-    u = spec.exact_solution()
-    return picard_assemble(spec, u) @ u
+    u = picard_exact_solution()
+    return picard_assemble(u) @ u
 
 
 def picard_iterate(
-    spec: PicardProblemSpec,
-    criterion: TerminationCriterion,
-    tol: float,
-    max_iter: int = 500,
+    criterion: TerminationCriterion, tol: float, max_iter: int = 500
 ) -> FixedPointTrace:
     """Run the Picard iteration A(x^k) x^{k+1} = b from zero with inexact GMRES solves.
 
@@ -92,17 +68,17 @@ def picard_iterate(
     ||A(x) x - b|| (recorded per step in ``trace.residuals``) and the next
     solve. The outer exit tests that residual <= tol, not the increment.
     """
-    b = picard_forcing(spec)
-    x0 = np.zeros(spec.n)
-    inner_cap = max(2 * spec.n, 50)
-    A = picard_assemble(spec, x0)
+    b = picard_forcing()
+    x0 = np.zeros(N)
+    inner_cap = 2 * N
+    A = picard_assemble(x0)
     residuals: list[float] = []
 
     def step(x, k):
         nonlocal A
         rep = gmres_solve(A, b, x0=x, criterion=criterion, max_iter=inner_cap)
         y = rep.solution
-        A = picard_assemble(spec, y)
+        A = picard_assemble(y)
         residuals.append(norm2(A @ y - b))
         return y, [rep]
 

@@ -2,8 +2,8 @@
 
 The rhs-relative blow-up clause at dx = 1/40 is marked as a strict expected
 failure: with a sound SPD conjugate gradient the coupled iteration freezes
-at a bounded plateau there instead of diverging (see the decisions ledger
-for the analysis), so the reference blow-up cannot be reproduced. It is
+at a bounded plateau there instead of diverging (see the acceptance suite
+paragraph of README.md), so the reference blow-up cannot be reproduced. It is
 kept as written so a future solver change that does reproduce it gets
 noticed.
 """

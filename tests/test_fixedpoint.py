@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from inexactfp.fixedpoint import (
@@ -323,3 +325,62 @@ def test_nested_bound_dominates_measured_error():
             trace = iterate_nested(S, F, sched, sched, 0.5, tol=1e-14)
             err = abs(trace.final - x_star)[0]
             assert err <= bound_nested(1e-1, 1e-1, L_S, L_F) + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the bounds on drawn linear contractions
+# ---------------------------------------------------------------------------
+
+BOUND_TOL = 1e-10
+
+
+def linear_contraction(rng, n, L):
+    """x -> M x + c with ||M||_2 = L, as (M, c)."""
+    G = rng.normal(size=(n, n))
+    return L * G / np.linalg.norm(G, 2), rng.normal(size=n)
+
+
+def unit_vector(rng, n):
+    v = rng.normal(size=n)
+    return v / norm2(v)
+
+
+def bound_slack(q, x_star):
+    """What the bounds leave out: the increment test stops within
+    BOUND_TOL q/(1 - q) of the perturbed fixed point, plus rounding."""
+    return BOUND_TOL * q / (1.0 - q) + 1e-12 * (1.0 + norm2(x_star))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), L=st.floats(0.0, 0.95),
+       eps=st.floats(0.0, 1.0))
+def test_direct_bound_holds_on_drawn_linear_contractions(n, seed, L, eps):
+    rng = np.random.default_rng(seed)
+    M, c = linear_contraction(rng, n, L)
+    e = eps * unit_vector(rng, n)
+    x_star = np.linalg.solve(np.eye(n) - M, c)
+    trace = iterate_plain(lambda x: M @ x + c + e, np.zeros(n), BOUND_TOL)
+    assert trace.terminated_by is Termination.INCREMENT_BELOW_TOL
+    err = norm2(trace.final - x_star)
+    assert err <= bound_direct(eps, L) + bound_slack(L, x_star)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), L_S=st.floats(0.1, 2.0),
+       q=st.floats(0.0, 0.95), eps=st.floats(0.0, 1.0), delta=st.floats(0.0, 1.0))
+def test_nested_bound_holds_on_drawn_linear_contractions(n, seed, L_S, q, eps, delta):
+    # L_S may exceed 1: the theorem asks only that L_S L_F < 1
+    L_F = q / L_S
+    rng = np.random.default_rng(seed)
+    M_S, c_S = linear_contraction(rng, n, L_S)
+    M_F, c_F = linear_contraction(rng, n, L_F)
+    e, d = eps * unit_vector(rng, n), delta * unit_vector(rng, n)
+    x_star = np.linalg.solve(np.eye(n) - M_S @ M_F, M_S @ c_F + c_S)
+    # the drawn perturbations enter through the maps; the schedules, whose
+    # direction is the all-ones vector, add zero
+    none = PerturbationSchedule(0.0)
+    trace = iterate_nested(lambda z: M_S @ z + c_S + d, lambda x: M_F @ x + c_F + e,
+                           none, none, np.zeros(n), BOUND_TOL)
+    assert trace.terminated_by is Termination.INCREMENT_BELOW_TOL
+    err = norm2(trace.final - x_star)
+    assert err <= bound_nested(eps, delta, L_S, L_F) + bound_slack(L_S * L_F, x_star)
