@@ -40,8 +40,12 @@ product has the bits of the same matrix in CSR. The one difference: DIA
 multiplies the zeros it stores by the input too, so a non-finite entry gives
 NaN in a row where CSR skips it; the residual is non-finite either way.
 CG's inner products are ``ndarray.dot``: for two vectors the BLAS ``ddot``
-that ``@`` ends in, without the matmul dispatch. GMRES keeps ``@``: on its
-basis products ``V.T @ w``, ``.dot`` takes another BLAS path and other bits.
+that ``@`` ends in, without the matmul dispatch. GMRES keeps its Arnoldi
+basis in the rows of ``V`` and its Givens rotations in one accumulated
+matrix, so each iteration makes the same few BLAS calls whatever its index:
+the operator reads a contiguous row, each Gram-Schmidt pass is ``V[:j+1] @ w``
+and ``coeffs @ V[:j+1]``, and rotating the new Hessenberg column is one
+product.
 """
 
 from __future__ import annotations
@@ -270,14 +274,20 @@ def gmres_solve(
 ) -> SolveReport:
     """Full GMRES (reorthogonalized Gram-Schmidt Arnoldi, Givens least squares).
 
-    The Krylov space grows up to n; it is rebuilt only from the true
-    residual after recurrence drift. The per-iteration residual norm comes
-    for free from the rotated right-hand side. Happy breakdown (Arnoldi norm
-    at most 1e-14 of the largest ``|h_jj|`` or ``h_{j+1,j}`` so far, a scale
-    of the operator, not of the residual) means the Krylov space contains
-    the exact solution in exact arithmetic; in float64 the true residual
-    still decides whether the solve converged. ``a`` of the floor is the
-    largest ``|h_jj|`` so far.
+    The basis vectors are the rows of ``V``. The Givens rotations so far are
+    one orthogonal matrix ``Q``; rotation j changes only its rows j and
+    j + 1, so the new Hessenberg column is rotated by ``Q[:j+1, :j+1] @ h``,
+    the rotated right-hand side is ``beta * Q[:, 0]`` and the residual norm
+    after step j, ``|beta * Q[j+1, 0]|``, comes for free. The Krylov space
+    grows up to n; it is rebuilt only from the true residual after
+    recurrence drift. Happy breakdown (Arnoldi norm at most 1e-14 of the
+    largest ``|h_jj|`` or ``h_{j+1,j}`` so far, a scale of the operator, not
+    of the residual) means the Krylov space contains the exact solution in
+    exact arithmetic; in float64 the true residual still decides whether the
+    solve converged. A rotated column on that scale means the operator maps
+    the space into a smaller one (a singular operator): it is left out of
+    the least squares, and the space counts as exhausted. ``a`` of the
+    floor is the largest ``|h_jj|`` so far, before rotation.
     """
     apply_op, b, x, r, history, threshold, floor, report, done = _start(op, b, x0, criterion)
     if done is not None:
@@ -289,60 +299,65 @@ def gmres_solve(
     while total_it < max_iter:
         cycle = min(n, max_iter - total_it)
         beta = norm2(r)
-        V = np.zeros((n, cycle + 1))
-        H = np.zeros((cycle + 1, cycle))
-        # the Givens rotations and the rotated rhs live on Python floats: the
-        # same IEEE operations as on numpy scalars, without their overhead
-        cs, sn, g = [], [], [beta]
-        V[:, 0] = q = r / beta
+        V = np.empty((cycle + 1, n))  # the Arnoldi basis, one vector per row
+        R = np.zeros((cycle, cycle))
+        # the Givens rotations so far, as one matrix: rotation j changes only
+        # rows j and j + 1, so rows 0..j-1 are final
+        Q = np.eye(cycle + 1)
+        np.divide(r, beta, out=V[0])
         j_used = 0
         happy = False
         satisfied = False
         for j in range(cycle):
-            w = apply_op(q)  # q is V[:, j], contiguous: the kernel copies nothing
+            w = apply_op(V[j])
             # classical Gram-Schmidt with one reorthogonalization pass: as
-            # orthogonal as the modified variant in float64, and vectorized
-            basis = V[:, : j + 1]
-            coeffs = basis.T @ w
-            w = w - basis @ coeffs
-            correction = basis.T @ w
-            w = w - basis @ correction
-            h = (coeffs + correction).tolist()
-            h.append(norm2(w))
-            if abs(h[j]) > a_max:
-                a_max = abs(h[j])
+            # orthogonal as the modified variant in float64, and vectorized.
+            # The first pass makes a fresh w: a callable may own its output
+            basis = V[: j + 1]
+            h = basis @ w
+            w = w - h @ basis
+            correction = basis @ w
+            w -= correction @ basis
+            h += correction
+            hn = norm2(w)
+            hjj = abs(float(h[j]))
+            if hjj > a_max:
+                a_max = hjj
                 floor_k = floor(a_max)
-            h_max = max(h_max, a_max, h[j + 1])
-            happy = h[j + 1] <= 1e-14 * h_max
+            h_max = max(h_max, a_max, hn)
+            happy = hn <= 1e-14 * h_max
             if not happy:
-                V[:, j + 1] = q = w / h[j + 1]
-            # rotation i mixes h[i] and h[i + 1]; its second output is the
-            # first input of rotation i + 1, so it is carried in hi
-            hi, rotated = h[0], []
-            for c, s, hn in zip(cs, sn, h[1 : j + 1]):
-                rotated.append(c * hi + s * hn)
-                hi = -s * hi + c * hn
-            h[:j] = rotated
-            h[j] = hi
-            # np.hypot, not math.hypot: the two differ in the last bit
-            d = float(np.hypot(h[j], h[j + 1]))
-            cs.append(h[j] / d)
-            sn.append(h[j + 1] / d)
-            h[j], h[j + 1] = d, 0.0
-            H[: j + 2, j] = h
-            g.append(-sn[j] * g[j])
-            g[j] = cs[j] * g[j]
-            j_used = j + 1
+                np.divide(w, hn, out=V[j + 1])
+            h = Q[: j + 1, : j + 1] @ h  # rotations 0..j-1 applied
+            hj = float(h[j])
+            d = math.hypot(hj, hn)
             total_it += 1
-            res = abs(g[j_used])
+            if d <= 1e-14 * h_max:
+                # a zero rotated column, on the happy-breakdown scale (so hn
+                # is too, and happy holds): A maps the new basis vector into
+                # the span of the earlier ones, and the Krylov space is
+                # exhausted. Its rotation would be set by rounding alone, so
+                # the column is left out of the least squares
+                history.append(abs(beta * float(Q[j, 0])))
+                break
+            c, s = hj / d, hn / d
+            h[j] = d
+            R[: j + 1, j] = h
+            qj = Q[j, : j + 1]
+            np.multiply(qj, -s, out=Q[j + 1, : j + 1])
+            qj *= c
+            Q[j, j + 1] = s
+            Q[j + 1, j + 1] = c
+            j_used = j + 1
+            res = abs(beta * float(Q[j_used, 0]))
             history.append(res)
             if not math.isfinite(res):
                 return report(x, False, total_it, res, "indefinite or non-finite")
             satisfied = res <= threshold or res <= floor_k
             if satisfied or happy:
                 break
-        y = np.linalg.solve(H[:j_used, :j_used], g[:j_used])
-        x = x + V[:, :j_used] @ y
+        y = np.linalg.solve(R[:j_used, :j_used], beta * Q[:j_used, 0])
+        x = x + y @ V[:j_used]
         r = b - apply_op(x)
         true_res = norm2(r)
         # happy breakdown or full GMRES at n steps: the Krylov space is

@@ -535,11 +535,11 @@ SOLVER_TABLE_DIGESTS = {
     ),
     "picard-abs": (
         dict(experiment="picard", criterion="abs"),
-        "084e724246d15595b8b8f4c52bb346ac29233ee587d187c54d374851ecb21982",
+        "a839bffb5eb097f295f30f24b9640a26e328def079a83794ea8957d0a292c683",
     ),
     "picard-rel": (
         dict(experiment="picard", criterion="rel", taus=[1e-1, 1e-4]),
-        "88fa5388a9cfff69e19d0643b2f3137897131dbdfe8d8eb91f31a0e44bb8e72e",
+        "870ed9093412ef3809f49e172f240c0412be42042ac528284038c2ef94443b0c",
     ),
     "transmission-error-relb-zero-guess": (
         dict(experiment="transmission-error", criterion="relb", taus=[1e-1], dxs=[0.1],

@@ -327,6 +327,61 @@ def test_gmres_max_iter_reports_not_converged():
     assert rep.breakdown == "iteration cap"
 
 
+NILPOTENT_SHIFT = np.eye(3, k=1)
+
+
+@pytest.mark.parametrize("A, b, tol, iterations, least", [
+    (np.zeros((3, 3)), np.ones(3), 1e-10, 1, np.sqrt(3.0)),
+    (NILPOTENT_SHIFT, np.array([0.0, 0.0, 1.0]), 1e-10, 3, 1.0),
+    # A K_2 = span(e1) while b = e1 + e2: the rotated column of step 2 is zero
+    # up to rounding, which must not pick its rotation
+    (NILPOTENT_SHIFT, np.array([1.0, 1.0, 0.0]), 1e-10, 2, 1.0),
+    (NILPOTENT_SHIFT, np.array([0.0, 0.0, 1.0]), 0.5, 3, 1.0),
+], ids=["zero", "nilpotent-e3", "nilpotent-e1+e2", "nilpotent-e3-within-guard"])
+def test_gmres_singular_operator_exhausts_krylov_space(A, b, tol, iterations, least):
+    # a zero rotated column means the Krylov space is exhausted: the solve
+    # stops at the least residual over it, and the true residual decides
+    rep = gmres_solve(A, b, np.zeros(3), TerminationCriterion("abs", tol))
+    assert rep.iterations == iterations
+    assert rep.final_residual_norm == norm2(b - A @ rep.solution)
+    assert rep.final_residual_norm == pytest.approx(least, rel=1e-12)
+    assert rep.residual_history[-1] == pytest.approx(least, rel=1e-12)
+    assert rep.converged == (rep.final_residual_norm <= DRIFT_GUARD_FACTOR * tol)
+    assert rep.breakdown == (None if rep.converged else "attainable accuracy")
+
+
+@st.composite
+def capped_nonsymmetric_systems(draw):
+    n = draw(st.integers(3, 12))
+    k = draw(st.integers(1, min(5, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.normal(size=(n, n))
+    A = np.eye(n) + 0.5 * G / np.linalg.norm(G, 2)
+    b = rng.normal(size=n)
+    x0 = rng.normal(size=n) if draw(st.booleans()) else np.zeros(n)
+    return A, b, x0, k
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(system=capped_nonsymmetric_systems())
+def test_gmres_minimizes_residual_over_krylov_space_property(system):
+    # k < n steps without a restart end at the iteration cap with the least
+    # residual over x0 + K_k(A, r0), here from a dense least squares problem
+    # on an orthonormal basis of the Krylov matrix
+    A, b, x0, k = system
+    rep = gmres_solve(A, b, x0, TerminationCriterion("abs", 1e-300), max_iter=k)
+    r0 = b - A @ x0
+    krylov = np.empty((len(b), k))
+    krylov[:, 0] = r0
+    for i in range(1, k):
+        krylov[:, i] = A @ krylov[:, i - 1]
+    basis = np.linalg.qr(krylov)[0]
+    y = np.linalg.lstsq(A @ basis, r0, rcond=None)[0]
+    least = norm2(r0 - A @ basis @ y)
+    assert rep.iterations == k and rep.breakdown == "iteration cap"
+    assert abs(rep.final_residual_norm - least) <= 1e-8 * norm2(r0)
+
+
 # ---------------------------------------------------------------------------
 # attainable accuracy: thresholds below the float64 residual floor
 # ---------------------------------------------------------------------------

@@ -97,10 +97,10 @@ def test_relative_criterion_converges_for_loose_tau():
     assert tight.residuals[-1] <= 1e-12
     assert_allclose(loose.final, tight.final, atol=1e-10)
     # the work counter pins the GMRES arithmetic bit for bit: a last-bit
-    # change in the Givens rotations (math.hypot for np.hypot) gives 96 steps
-    # and 4,498 GMRES iterations
-    assert loose.steps == 95
-    assert loose.total_inner_iterations == 4415
+    # change moves it (GMRES with a column basis and its rotations replayed
+    # one by one took 95 steps and 4,415 iterations)
+    assert loose.steps == 93
+    assert loose.total_inner_iterations == 4305
 
 
 def test_absolute_criterion_plateaus():
