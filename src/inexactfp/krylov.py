@@ -44,7 +44,7 @@ that ``@`` ends in, without the matmul dispatch. GMRES keeps its Arnoldi
 basis in the rows of ``V`` and its Givens rotations in one accumulated
 matrix, so each iteration makes the same few BLAS calls whatever its index:
 the operator reads a contiguous row, each Gram-Schmidt pass is ``V[:j+1] @ w``
-and ``coeffs @ V[:j+1]``, and rotating the new Hessenberg column is one
+and ``h @ V[:j+1]``, and rotating the new Hessenberg column is one
 product.
 """
 

@@ -37,15 +37,6 @@ def parse_seeds(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def scan_line(workloads, workload: str, seed: int, workdir: str) -> tuple[str, bool]:
-    inputs = workloads.make_inputs(workload, seed)
-    out = workloads.run_pass(inputs, workdir)
-    failed = [c for c in workloads.check_pass(inputs, out) if not c.ok]
-    counts = " ".join(f"{k}={v}" for k, v in out.counts().items())
-    verdict = "FAIL " + "; ".join(f"{c.case}: {c.detail}" for c in failed) if failed else "ok"
-    return f"seed {seed} {counts} {verdict}", not failed
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True)
@@ -59,9 +50,13 @@ def main(argv=None) -> int:
     all_ok = True
     with tempfile.TemporaryDirectory() as workdir:
         for seed in args.seeds:
-            line, ok = scan_line(workloads, args.workload, seed, workdir)
-            print(line, flush=True)
-            all_ok &= ok
+            inputs = workloads.make_inputs(args.workload, seed)
+            out = workloads.run_pass(inputs, workdir)
+            failed = [c for c in workloads.check_pass(inputs, out) if not c.ok]
+            counts = " ".join(f"{k}={v}" for k, v in out.counts().items())
+            verdict = "FAIL " + "; ".join(f"{c.case}: {c.detail}" for c in failed) if failed else "ok"
+            print(f"seed {seed} {counts} {verdict}", flush=True)
+            all_ok &= not failed
     return 0 if all_ok else 1
 
 
