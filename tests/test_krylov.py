@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +16,7 @@ from inexactfp.krylov import (
     gmres_solve,
 )
 from inexactfp.linalg import DimensionMismatchError, norm2, solve_direct
+from inexactfp.problems.picard import N, picard_assemble, picard_forcing
 
 
 def laplacian_1d(n):
@@ -58,6 +61,16 @@ def test_criterion_kind_is_its_label():
 # ---------------------------------------------------------------------------
 # operator application
 # ---------------------------------------------------------------------------
+
+def report_digest(rep):
+    """sha256 over every field of a SolveReport, floats by their bits."""
+    fields = (rep.iterations, rep.initial_residual_norm.hex(), rep.threshold.hex(),
+              rep.final_residual_norm.hex(), rep.converged, rep.breakdown)
+    digest = hashlib.sha256(repr(fields).encode())
+    digest.update(rep.solution.tobytes())
+    digest.update(np.array(rep.residual_history).tobytes())
+    return digest.hexdigest()
+
 
 def assert_bitwise(actual, expected):
     assert actual.dtype == expected.dtype and actual.shape == expected.shape
@@ -144,6 +157,35 @@ def test_other_operators_take_matmul(make):
     n = A.shape[1]
     V = np.random.default_rng(n).normal(size=(n, 3))
     assert_bitwise(apply_op(V[:, 1]), np.asarray(A @ V[:, 1], dtype=float))
+
+
+def reusing_one_buffer(A):
+    """``v -> A @ v`` written into one array it returns on every call, which
+    it checks holds what it last wrote: a solver may read the output of a
+    callable but must neither write it nor keep it across calls."""
+    out = np.empty(A.shape[0])
+    written = out.copy()
+
+    def apply(v):
+        assert out.tobytes() == written.tobytes(), "the solver wrote the operator's output"
+        out[:] = A @ v
+        written[:] = out
+        return out
+
+    return apply
+
+
+@pytest.mark.parametrize("solver", SOLVERS, ids=["cg", "gmres"])
+@pytest.mark.parametrize("kind, tau", [("rel", 1e-8), ("abs", 1e-30)])
+def test_callable_owning_its_output_gives_matmul_bits(solver, kind, tau):
+    A = laplacian_1d(40)
+    rng = np.random.default_rng(40)
+    b, x0 = rng.normal(size=40), rng.normal(size=40)
+    criterion = TerminationCriterion(kind, tau)
+    expected = solver(lambda v: A @ v, b, x0, criterion)
+    rep = solver(reusing_one_buffer(A), b, x0, criterion)
+    assert rep.iterations > 1
+    assert report_digest(rep) == report_digest(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +390,76 @@ def test_gmres_singular_operator_exhausts_krylov_space(A, b, tol, iterations, le
     assert rep.residual_history[-1] == pytest.approx(least, rel=1e-12)
     assert rep.converged == (rep.final_residual_norm <= DRIFT_GUARD_FACTOR * tol)
     assert rep.breakdown == (None if rep.converged else "attainable accuracy")
+
+
+def picard_system(name):
+    """A(x) of the Picard problem at a seeded lagged velocity x, as DIA, CSR
+    and a dense array, with its forcing and a seeded initial guess."""
+    rng = np.random.default_rng(30)
+    x = {"smooth": np.sin(np.pi * np.arange(1, N + 1) / (N + 1)),
+         "normal": rng.normal(size=N),
+         "wide": 10.0 * rng.normal(size=N)}[name]
+    A = picard_assemble(x)
+    return [A, A.tocsr(), A.toarray()], picard_forcing(), 0.1 * rng.normal(size=N)
+
+
+def clustered_system():
+    """Symmetric, n - 1 eigenvalues in [1, 1.001] and one at 1e-8: GMRES meets
+    the float64 floor in a few steps while the true residual sits 1e7 above
+    it, so a sub-floor tau restarts once from the true residual, then stops
+    at attainable accuracy."""
+    rng = np.random.default_rng(0)
+    n = 40
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    A = (Q * np.r_[1.0 + 1e-3 * rng.random(n - 1), 1e-8]) @ Q.T
+    return [A, sp.csr_matrix(A)], rng.normal(size=n), np.zeros(n)
+
+
+PINNED_CRITERIA = [("rel", 1e-6), ("relb", 1e-8), ("abs", 1e-10), ("abs", 1e-30)]
+SINGULAR_CRITERIA = [("abs", 1e-10), ("abs", 0.5)]
+
+# sha256 of the reports of gmres_solve, in order over operators, then
+# criteria; a change to GMRES must keep every bit of every field
+GMRES_REPORT_DIGESTS = {
+    "picard-smooth": "ec1cd09c71da08d0be57b9dc211a9f194feb94d67a8bdf1add0cc46a1d4104c1",
+    "picard-normal": "f34a459264e18d87214bf9e63db6cae9c225e56eb00e55dbb9ab02a499009bba",
+    "picard-wide": "4836d733d94e672ae1301cdcafe37ea57b2b8fe26857ed9f2c01c9f44136fb54",
+    "clustered": "7f5ad3598725731c1b00d609e4687cb15d6c287cdfa7fe6e77a212880924eeba",
+    "zero": "cfa6a981c5de5177e996ea988267cab5dd55886b19aea10a7ea63be6887b693f",
+    "nilpotent-e3": "5610afdcccc91d502f2fdc7f8012c4d14635065b4ee3c2208fab8aff46b278a7",
+    "nilpotent-e1+e2": "9664eade573cda36763dc4bbc67dd8c67e6f5e2141ee51f41a98155ca9d82b78",
+}
+
+
+def pinned_system(case):
+    if case.startswith("picard-"):
+        return (*picard_system(case.removeprefix("picard-")), PINNED_CRITERIA)
+    if case == "clustered":
+        return (*clustered_system(), PINNED_CRITERIA)
+    A, b = {"zero": (np.zeros((3, 3)), np.ones(3)),
+            "nilpotent-e3": (NILPOTENT_SHIFT, np.array([0.0, 0.0, 1.0])),
+            "nilpotent-e1+e2": (NILPOTENT_SHIFT, np.array([1.0, 1.0, 0.0]))}[case]
+    return [A, sp.csr_matrix(A)], b, np.zeros(3), SINGULAR_CRITERIA
+
+
+@pytest.mark.parametrize("case", list(GMRES_REPORT_DIGESTS))
+def test_gmres_reports_bitwise_pinned(case):
+    operators, b, x0, criteria = pinned_system(case)
+    digest = hashlib.sha256()
+    reports = []
+    for op in operators:
+        for kind, tau in criteria:
+            rep = gmres_solve(op, b, x0, TerminationCriterion(kind, tau), max_iter=2 * len(b))
+            reports.append(rep)
+            digest.update(report_digest(rep).encode())
+    assert digest.hexdigest() == GMRES_REPORT_DIGESTS[case]
+    assert "attainable accuracy" in {rep.breakdown for rep in reports}
+    if case == "clustered":
+        # the sub-floor tau restarts from the true residual, which is where
+        # the recurrence residual rises again, then stops at the floor
+        sub_floor = reports[len(criteria) - 1]
+        assert sub_floor.breakdown == "attainable accuracy"
+        assert np.any(np.diff(sub_floor.residual_history) > 0)
 
 
 @st.composite
