@@ -39,13 +39,14 @@ each row in sorted column order, as CSR does, so for finite vectors its
 product has the bits of the same matrix in CSR. The one difference: DIA
 multiplies the zeros it stores by the input too, so a non-finite entry gives
 NaN in a row where CSR skips it; the residual is non-finite either way.
-CG's inner products are ``ndarray.dot``: for two vectors the BLAS ``ddot``
-that ``@`` ends in, without the matmul dispatch. GMRES keeps its Arnoldi
-basis in the rows of ``V`` and its Givens rotations in one accumulated
-matrix, so each iteration makes the same few BLAS calls whatever its index:
-the operator reads a contiguous row, each Gram-Schmidt pass is ``V[:j+1] @ w``
-and ``h @ V[:j+1]``, and rotating the new Hessenberg column is one
-product.
+The products in an iteration are ``ndarray.dot``: the BLAS ``ddot`` or
+``dgemv`` that ``@`` ends in, without the matmul dispatch. GMRES keeps its
+Arnoldi basis in the rows of ``V`` and its Givens rotations in one
+accumulated matrix, so each iteration makes the same few BLAS calls
+whatever its index: the operator reads a contiguous row, each Gram-Schmidt
+pass is ``V[:j+1].dot(w)`` and ``h.dot(V[:j+1])``, and the new Hessenberg
+column is rotated by one product written straight into a row of the
+triangular factor, which is stored by rows.
 """
 
 from __future__ import annotations
@@ -276,18 +277,19 @@ def gmres_solve(
 
     The basis vectors are the rows of ``V``. The Givens rotations so far are
     one orthogonal matrix ``Q``; rotation j changes only its rows j and
-    j + 1, so the new Hessenberg column is rotated by ``Q[:j+1, :j+1] @ h``,
-    the rotated right-hand side is ``beta * Q[:, 0]`` and the residual norm
-    after step j, ``|beta * Q[j+1, 0]|``, comes for free. The Krylov space
-    grows up to n; it is rebuilt only from the true residual after
-    recurrence drift. Happy breakdown (Arnoldi norm at most 1e-14 of the
-    largest ``|h_jj|`` or ``h_{j+1,j}`` so far, a scale of the operator, not
-    of the residual) means the Krylov space contains the exact solution in
-    exact arithmetic; in float64 the true residual still decides whether the
-    solve converged. A rotated column on that scale means the operator maps
-    the space into a smaller one (a singular operator): it is left out of
-    the least squares, and the space counts as exhausted. ``a`` of the
-    floor is the largest ``|h_jj|`` so far, before rotation.
+    j + 1, so the new Hessenberg column is rotated by one product with
+    ``Q[:j+1, :j+1]``, written into row j of ``R_rows``, the transposed
+    triangular factor. The rotated right-hand side is ``beta * Q[:, 0]``
+    and the residual norm after step j, ``|beta * Q[j+1, 0]|``, comes for
+    free. The Krylov space grows up to n; it is rebuilt only from the true
+    residual after recurrence drift. Happy breakdown (Arnoldi norm at most
+    1e-14 of the largest ``|h_jj|`` or ``h_{j+1,j}`` so far, a scale of the
+    operator, not of the residual) means the Krylov space contains the exact
+    solution in exact arithmetic; in float64 the true residual still decides
+    whether the solve converged. A rotated column on that scale means the
+    operator maps the space into a smaller one (a singular operator): it is
+    left out of the least squares, and the space counts as exhausted. ``a``
+    of the floor is the largest ``|h_jj|`` so far, before rotation.
     """
     apply_op, b, x, r, history, threshold, floor, report, done = _start(op, b, x0, criterion)
     if done is not None:
@@ -300,7 +302,7 @@ def gmres_solve(
         cycle = min(n, max_iter - total_it)
         beta = norm2(r)
         V = np.empty((cycle + 1, n))  # the Arnoldi basis, one vector per row
-        R = np.zeros((cycle, cycle))
+        R_rows = np.zeros((cycle, cycle))  # the triangular factor, row j its column j
         # the Givens rotations so far, as one matrix: rotation j changes only
         # rows j and j + 1, so rows 0..j-1 are final
         Q = np.eye(cycle + 1)
@@ -314,12 +316,14 @@ def gmres_solve(
             # orthogonal as the modified variant in float64, and vectorized.
             # The first pass makes a fresh w: a callable may own its output
             basis = V[: j + 1]
-            h = basis @ w
-            w = w - h @ basis
-            correction = basis @ w
-            w -= correction @ basis
+            h = basis.dot(w)
+            w = w - h.dot(basis)
+            correction = basis.dot(w)
+            w -= correction.dot(basis)
             h += correction
-            hn = norm2(w)
+            hn = math.sqrt(w.dot(w))
+            if not 0.0 < hn < math.inf:
+                hn = norm2(w)  # its scaled fallback
             hjj = abs(float(h[j]))
             if hjj > a_max:
                 a_max = hjj
@@ -328,8 +332,9 @@ def gmres_solve(
             happy = hn <= 1e-14 * h_max
             if not happy:
                 np.divide(w, hn, out=V[j + 1])
-            h = Q[: j + 1, : j + 1] @ h  # rotations 0..j-1 applied
-            hj = float(h[j])
+            rotated = R_rows[j, : j + 1]
+            np.dot(Q[: j + 1, : j + 1], h, out=rotated)  # rotations 0..j-1 applied
+            hj = float(rotated[j])
             d = math.hypot(hj, hn)
             total_it += 1
             if d <= 1e-14 * h_max:
@@ -341,8 +346,7 @@ def gmres_solve(
                 history.append(abs(beta * float(Q[j, 0])))
                 break
             c, s = hj / d, hn / d
-            h[j] = d
-            R[: j + 1, j] = h
+            rotated[j] = d
             qj = Q[j, : j + 1]
             np.multiply(qj, -s, out=Q[j + 1, : j + 1])
             qj *= c
@@ -356,7 +360,7 @@ def gmres_solve(
             satisfied = res <= threshold or res <= floor_k
             if satisfied or happy:
                 break
-        y = np.linalg.solve(R[:j_used, :j_used], beta * Q[:j_used, 0])
+        y = np.linalg.solve(R_rows[:j_used, :j_used].T, beta * Q[:j_used, 0])
         x = x + y @ V[:j_used]
         r = b - apply_op(x)
         true_res = norm2(r)
