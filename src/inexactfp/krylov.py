@@ -39,14 +39,14 @@ each row in sorted column order, as CSR does, so for finite vectors its
 product has the bits of the same matrix in CSR. The one difference: DIA
 multiplies the zeros it stores by the input too, so a non-finite entry gives
 NaN in a row where CSR skips it; the residual is non-finite either way.
-The products in an iteration are ``ndarray.dot``: the BLAS ``ddot`` or
-``dgemv`` that ``@`` ends in, without the matmul dispatch. GMRES keeps its
-Arnoldi basis in the rows of ``V`` and its Givens rotations in one
-accumulated matrix, so each iteration makes the same few BLAS calls
-whatever its index: the operator reads a contiguous row, each Gram-Schmidt
-pass is ``V[:j+1].dot(w)`` and ``h.dot(V[:j+1])``, and the new Hessenberg
-column is rotated by one product written straight into a row of the
-triangular factor, which is stored by rows.
+CG's inner products and GMRES's Gram-Schmidt products and Arnoldi norm are
+``ndarray.dot``: the BLAS ``ddot`` or ``dgemv`` that ``@`` ends in, without
+the matmul dispatch. GMRES keeps its Arnoldi basis in the rows of ``V`` and
+its Givens rotations in one accumulated matrix, so each iteration makes the
+same few BLAS calls whatever its index: the operator reads a contiguous
+row, each Gram-Schmidt pass is ``V[:j+1].dot(w)`` and ``h.dot(V[:j+1])``,
+and the new Hessenberg column is rotated by one ``np.matmul`` written
+straight into a row of the triangular factor, which is stored by rows.
 """
 
 from __future__ import annotations
@@ -333,7 +333,9 @@ def gmres_solve(
             if not happy:
                 np.divide(w, hn, out=V[j + 1])
             rotated = R_rows[j, : j + 1]
-            np.dot(Q[: j + 1, : j + 1], h, out=rotated)  # rotations 0..j-1 applied
+            # rotations 0..j-1 applied; np.dot would first copy the block,
+            # which is not one memory segment
+            np.matmul(Q[: j + 1, : j + 1], h, out=rotated)
             hj = float(rotated[j])
             d = math.hypot(hj, hn)
             total_it += 1
