@@ -15,7 +15,9 @@ from inexactfp.fixedpoint import (
     iterate_nested,
     iterate_perturbed,
     iterate_plain,
+    _drive,
 )
+from inexactfp.krylov import DRIFT_GUARD_FACTOR, TerminationCriterion, cg_solve, gmres_solve
 from inexactfp.linalg import norm2
 from inexactfp.problems import linear_nested, nested_scalar
 from inexactfp.problems.linear import OFF_DIAGONAL
@@ -384,3 +386,67 @@ def test_nested_bound_holds_on_drawn_linear_contractions(n, seed, L_S, q, eps, d
     assert trace.terminated_by is Termination.INCREMENT_BELOW_TOL
     err = norm2(trace.final - x_star)
     assert err <= bound_nested(eps, delta, L_S, L_F) + bound_slack(L_S * L_F, x_star)
+
+
+# ---------------------------------------------------------------------------
+# inexact inner solves: x -> solve(A, B x + c) with ||A^-1 B||_2 = L
+# ---------------------------------------------------------------------------
+
+INNER_SOLVERS = [cg_solve, gmres_solve]
+OUTER_TOL = 1e-12
+
+
+def inner_solve_problem(n, seed, L, kappa):
+    """SPD A with spectrum in [1, kappa], B = A M with ||M||_2 = L, and c
+    making a drawn unit vector x* the fixed point, as (A, B, c, x*)."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    A = (Q * np.r_[1.0, 1.0 + (kappa - 1.0) * rng.random(n - 1)]) @ Q.T
+    M, _ = linear_contraction(rng, n, L)
+    B = A @ M
+    x_star = unit_vector(rng, n)
+    return A, B, A @ x_star - B @ x_star, x_star
+
+
+def iterate_inner_solves(solver, A, B, c, criterion):
+    """The outer iteration, each step one inner solve from the current iterate."""
+    def step(x, k):
+        rep = solver(A, B @ x + c, x, criterion)
+        return rep.solution, [rep]
+
+    return _drive(step, np.zeros(len(c)), OUTER_TOL, 2000)
+
+
+@pytest.mark.parametrize("solver", INNER_SOLVERS, ids=["cg", "gmres"])
+@settings(max_examples=50, deadline=None, database=None)
+@given(n=st.integers(4, 40), seed=st.integers(0, 2**32 - 1), L=st.floats(0.1, 0.95),
+       kappa=st.floats(1.0, 10.0), shrink=st.floats(0.0, 6.0))
+def test_rel_inner_solves_reach_the_fixed_point_property(solver, n, seed, L, kappa, shrink):
+    # a rel solve from x leaves an error of at most rho ||T x - x||, with
+    # rho = DRIFT_GUARD_FACTOR tau cond(A), so x -> T x + e(x) contracts by
+    # L + rho (1 + L) <= (1 + L) / 2 for the tau drawn here: the iteration
+    # reaches x* up to OUTER_TOL and rounding, far below 1e-8
+    A, B, c, x_star = inner_solve_problem(n, seed, L, kappa)
+    tau = 0.5 * (1.0 - L) / (DRIFT_GUARD_FACTOR * kappa * (1.0 + L)) * 10.0**-shrink
+    trace = iterate_inner_solves(solver, A, B, c, TerminationCriterion("rel", tau))
+    assert norm2(trace.final - x_star) < 1e-8 * norm2(x_star)
+
+
+@pytest.mark.parametrize("solver", INNER_SOLVERS, ids=["cg", "gmres"])
+@settings(max_examples=50, deadline=None, database=None)
+@given(n=st.integers(4, 40), seed=st.integers(0, 2**32 - 1), L=st.floats(0.1, 0.95),
+       kappa=st.floats(1.0, 10.0), kind=st.sampled_from(["abs", "relb"]),
+       exponent=st.floats(-10.0, -2.0))
+def test_abs_and_relb_inner_solves_stay_within_the_direct_bound_property(
+        solver, n, seed, L, kappa, kind, exponent):
+    # a converged solve has a true residual within DRIFT_GUARD_FACTOR of its
+    # threshold, so its error is at most eps = DRIFT_GUARD_FACTOR threshold
+    # ||A^-1||; the step that ends the run then gives ||x - x*|| <=
+    # (eps + L inc) / (1 - L) = bound_direct(eps, L) + L inc / (1 - L)
+    A, B, c, x_star = inner_solve_problem(n, seed, L, kappa)
+    trace = iterate_inner_solves(solver, A, B, c, TerminationCriterion(kind, 10.0**exponent))
+    last = trace.inner_reports[-1][-1]
+    assert last.converged
+    eps = DRIFT_GUARD_FACTOR * last.threshold * np.linalg.norm(np.linalg.inv(A), 2)
+    slack = L * trace.increments[-1] / (1.0 - L) + 1e-12 * (1.0 + norm2(x_star))
+    assert norm2(trace.final - x_star) <= bound_direct(eps, L) + slack

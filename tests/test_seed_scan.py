@@ -14,11 +14,13 @@ def scan(*args):
 
 
 def test_one_line_per_seed():
+    # a mesh pass has no rows to count, so its line holds each grid's size
+    # and discretization error
     done = scan("--workload", "mesh", "--seeds", "1-2")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "seed 1 inner_iters=0 outer_steps=0 ok",
-        "seed 2 inner_iters=0 outer_steps=0 ok",
+        "seed 1 n=79 max_error=3.646468e-04 n=158 max_error=9.119868e-05 ok",
+        "seed 2 n=79 max_error=3.646468e-04 n=158 max_error=9.119868e-05 ok",
     ]
 
 

@@ -5,9 +5,11 @@
 Run from anywhere; the library is imported from ``src/`` of the checkout
 this file sits in, and the workloads from its ``perfbench/workloads.py``,
 which the scan only reads. Each line holds the seed, the pass's work
-counters and ``ok`` or ``FAIL`` with every failed check, so the output of
-two commits can be diffed line by line. BLAS runs on one thread, as in the
-benchmark, so the counters repeat exactly. Exit status 1 if any seed fails.
+counters (on ``mesh``, which has none, each grid's ``n`` and
+``max_error``) and ``ok`` or ``FAIL`` with every failed check, so the
+output of two commits can be diffed line by line. BLAS runs on one thread,
+as in the benchmark, so the counters repeat exactly. Exit status 1 if any
+seed fails.
 """
 
 from __future__ import annotations
@@ -53,7 +55,10 @@ def main(argv=None) -> int:
             inputs = workloads.make_inputs(args.workload, seed)
             out = workloads.run_pass(inputs, workdir)
             failed = [c for c in workloads.check_pass(inputs, out) if not c.ok]
-            counts = " ".join(f"{k}={v}" for k, v in out.counts().items())
+            if args.workload == "mesh":  # no rows to count: each grid's size and error
+                counts = " ".join(f"n={m['n']} max_error={m['max_error']:.6e}" for m in out.mesh)
+            else:
+                counts = " ".join(f"{k}={v}" for k, v in out.counts().items())
             verdict = "FAIL " + "; ".join(f"{c.case}: {c.detail}" for c in failed) if failed else "ok"
             print(f"seed {seed} {counts} {verdict}", flush=True)
             all_ok &= not failed
