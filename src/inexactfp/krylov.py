@@ -302,7 +302,7 @@ def gmres_solve(
         cycle = min(n, max_iter - total_it)
         beta = norm2(r)
         V = np.empty((cycle + 1, n))  # the Arnoldi basis, one vector per row
-        R_rows = np.zeros((cycle, cycle))  # the triangular factor, row j its column j
+        R_rows = np.zeros((cycle, cycle))  # R by rows: row j holds column j of R
         # the Givens rotations so far, as one matrix: rotation j changes only
         # rows j and j + 1, so rows 0..j-1 are final
         Q = np.eye(cycle + 1)
@@ -333,8 +333,7 @@ def gmres_solve(
             if not happy:
                 np.divide(w, hn, out=V[j + 1])
             rotated = R_rows[j, : j + 1]
-            # rotations 0..j-1 applied; np.dot would first copy the block,
-            # which is not one memory segment
+            # rotations 0..j-1 applied (np.dot would copy this strided block)
             np.matmul(Q[: j + 1, : j + 1], h, out=rotated)
             hj = float(rotated[j])
             d = math.hypot(hj, hn)
