@@ -24,12 +24,7 @@ from .krylov import (
     cg_solve,
     gmres_solve,
 )
-from .linalg import (
-    DimensionMismatchError,
-    SingularMatrixError,
-    norm2,
-    solve_direct,
-)
+from .linalg import DimensionMismatchError, norm2
 
 __version__ = "0.1.0"
 
@@ -39,7 +34,6 @@ __all__ = [
     "FixedPointTrace",
     "NotAContractionError",
     "PerturbationSchedule",
-    "SingularMatrixError",
     "SolveReport",
     "Termination",
     "TerminationCriterion",
@@ -51,6 +45,5 @@ __all__ = [
     "iterate_perturbed",
     "iterate_plain",
     "norm2",
-    "solve_direct",
     "__version__",
 ]

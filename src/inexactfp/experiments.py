@@ -20,7 +20,6 @@ from . import __version__
 from .fixedpoint import (
     DEFAULT_MAX_ITER,
     PerturbationSchedule,
-    Termination,
     bound_direct,
     bound_nested,
     iterate_nested,

@@ -37,10 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.linalg import solve as solve_direct  # unused here; perfbench/spans.py wraps this name
 
 from ..fixedpoint import DEFAULT_MAX_ITER, FixedPointTrace, _drive
 from ..krylov import SolveReport, TerminationCriterion, cg_solve
-from ..linalg import norm2, solve_direct  # unused here; perfbench/spans.py wraps this name
+from ..linalg import norm2
 
 
 def exact_solution(x, y):
@@ -183,7 +184,7 @@ def monolithic_field(dx: float) -> np.ndarray:
     grid, has products of DST-I modes as eigenvectors, so a 2-D sine
     transform each way solves it, exactly in exact arithmetic (Buzbee, Golub
     and Nielson 1970); no operator is assembled."""
-    from scipy.fft import dstn, idstn  # on first use, like linalg's LAPACK
+    from scipy.fft import dstn, idstn  # on first use: only the oracle needs it
 
     n = mesh_cells(dx)
     h = 1.0 / n

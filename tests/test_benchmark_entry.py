@@ -1,7 +1,7 @@
 """The benchmark in ``perfbench/`` drives the library through its public entry
 points and, when traced, patches named functions in the library's modules.
-One tiny ``mesh`` pass and one tiny ``picard`` pass, each untraced and
-traced, fail here as soon as a name the benchmark uses leaves the library or
+One tiny ``mesh``, ``picard`` and ``dn-rel`` pass, each untraced and traced,
+fail here as soon as a name the benchmark uses leaves the library or
 a traced call no longer reaches the function patched under that name."""
 
 from pathlib import Path
@@ -34,3 +34,13 @@ def test_mesh_pass_checks_untraced_and_traced(monkeypatch, tmp_path):
 def test_picard_pass_checks_untraced_and_traced(monkeypatch, tmp_path):
     names = traced_span_names("picard", monkeypatch, tmp_path)
     assert {"problems.picard_iterate", "problems.picard_assemble", "krylov.gmres"} <= names
+
+
+def test_dn_rel_pass_checks_untraced_and_traced(monkeypatch, tmp_path):
+    names = traced_span_names("dn-rel", monkeypatch, tmp_path)
+    assert {
+        "problems.dn_iterate",
+        "problems.dn_step",
+        "krylov.cg",
+        "problems.transmission_assemble",
+    } <= names

@@ -103,6 +103,14 @@ def test_relative_criterion_converges_for_loose_tau():
     assert loose.total_inner_iterations == 4305
 
 
+def test_relative_criterion_exact_at_loose_tau():
+    # the relative rule from the previous iterate reaches u* at tau = 0.9 too
+    # (measured: 1.27e-12 after 469 steps)
+    trace = picard_iterate(TerminationCriterion("rel", 0.9), tol=1e-12)
+    assert trace.terminated_by is Termination.RESIDUAL_BELOW_TOL
+    assert norm2(trace.final - picard_exact_solution()) <= 1e-9
+
+
 def test_absolute_criterion_plateaus():
     trace = picard_iterate(TerminationCriterion("abs", 1e-3), tol=1e-12)
     assert trace.terminated_by is Termination.INNER_STAGNATION
