@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from inexactfp.linalg import norm2
+from inexactfp.problems.linear import linear_nested
 
 
 @pytest.mark.parametrize(
@@ -52,3 +54,16 @@ def test_norm2_squares_underflow():
     assert norm2(np.array([3e-200, 4e-200])) == pytest.approx(5e-200, rel=1e-15)
     assert norm2(np.array([5e-324, 0.0])) == 5e-324
     assert norm2(np.zeros(3)) == 0.0
+
+
+def test_solve_direct_coupled_2x2():
+    # (I - AB) x = b with alpha = beta = 0.1; elimination by hand gives
+    # x1 = 1/0.99 and x2 = (1 + 0.000101 * x1) / 0.999999. linear_nested's
+    # fixed point is this direct solve, bit for bit
+    A = np.array([[0.1, 0.0], [0.001, 0.001]])
+    B = np.array([[0.1, 0.0], [0.001, 0.001]])
+    x = np.linalg.solve(np.eye(2) - A @ B, np.ones(2))
+    x1 = 1.0 / 0.99
+    x2 = (1.0 + 0.000101 * x1) / 0.999999
+    assert_allclose(x, [x1, x2], rtol=1e-13)
+    assert linear_nested(0.1, 0.1)[2].tobytes() == x.tobytes()
