@@ -16,6 +16,7 @@ from .acceptance import ALL_CHECKS, run_acceptance
 from .experiments import (
     CRITERION_LABELS,
     EXPERIMENT_IDS,
+    OUT_FORMATS,
     ExperimentConfig,
     UnreadFieldError,
     UsageError,
@@ -23,6 +24,7 @@ from .experiments import (
     export_field_csvs,
     run_experiment,
 )
+from .problems.transmission import INNER_GUESSES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,13 +58,17 @@ class _Key(NamedTuple):
     field: str
     parse: Callable[[str], object]
     help: str
-    choices: tuple | None = None
     metavar: str | None = None
 
 
+def _one_of(values: tuple) -> str:
+    """The metavar of fixed choices; ExperimentConfig.validate checks them."""
+    return "{" + ",".join(values) + "}"
+
+
 _KEYS = (
-    _Key("experiment", "experiment", str, "experiment to run", EXPERIMENT_IDS),
-    _Key("criterion", "criterion", str, "inner termination criterion", CRITERION_LABELS),
+    _Key("experiment", "experiment", str, "experiment to run", _one_of(EXPERIMENT_IDS)),
+    _Key("criterion", "criterion", str, "inner termination criterion", _one_of(CRITERION_LABELS)),
     _Key("tau", "taus", _parse_list, "comma-separated inner tolerances"),
     _Key("dx", "dxs", _parse_list, "comma-separated mesh widths (0.1 or 1/10)"),
     _Key("tol", "tol", _parse_number, "outer tolerance"),
@@ -76,9 +82,9 @@ _KEYS = (
     _Key("lf", "lf_values", _parse_list, "inner Lipschitz constants (nested scalar)"),
     _Key("adaptive-c", "adaptive_c", _parse_number, "adaptive schedule prefactor"),
     _Key("inner-guess", "inner_guess", str,
-         "initial guess policy for the inner solves", ("previous", "zero")),
+         "initial guess policy for the inner solves", _one_of(INNER_GUESSES)),
     _Key("max-outer", "max_outer", int, "outer iteration cap"),
-    _Key("format", "out_format", str, "output format", ("csv", "md")),
+    _Key("format", "out_format", str, "output format", _one_of(OUT_FORMATS)),
     _Key("out", "out_path", _parse_path, "output path (default: stdout)"),
     _Key("export-fields", "export_fields", _parse_path,
          "also write exact/discrete field CSV grids (transmission)", metavar="PREFIX"),
@@ -127,8 +133,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--config", help="key=value configuration file; flags override it")
     for key in _KEYS:
-        p.add_argument(f"--{key.flag}", choices=key.choices, metavar=key.metavar,
-                       help=key.help)
+        p.add_argument(f"--{key.flag}", metavar=key.metavar, help=key.help)
     p.add_argument("--run-acceptance", action="store_true",
                    help="run the acceptance suite instead of an experiment")
     p.add_argument("--criteria", help="comma-separated criterion ids (e.g. A1,A7)")

@@ -41,7 +41,7 @@ from .problems import (
     solution_errors,
     transmission_assemble,
 )
-from .problems.transmission import mesh_cells
+from .problems.transmission import INNER_GUESSES, mesh_cells
 
 class UsageError(ValueError):
     """Invalid experiment configuration."""
@@ -58,6 +58,7 @@ class UnreadFieldError(UsageError):
 _READ_BY_ALL = ("experiment", "out_format", "out_path")
 _POSITIVE_LISTS = ("gammas", "taus", "dxs", "outer_tols")
 _NONNEGATIVE_LISTS = ("eps_values", "alphas", "betas", "ls_values", "lf_values")
+OUT_FORMATS = ("csv", "md")
 
 
 @dataclass
@@ -101,14 +102,11 @@ class ExperimentConfig:
                 getattr(self, f.name) != f.default
             ):
                 raise UnreadFieldError(self.experiment, f.name, reads)
-        if self.criterion is not None and self.criterion not in CRITERION_LABELS:
-            raise UsageError(
-                f"unknown criterion {self.criterion!r}; expected one of {CRITERION_LABELS}"
-            )
-        if self.inner_guess not in ("previous", "zero"):
-            raise UsageError(f"inner_guess must be 'previous' or 'zero', got {self.inner_guess!r}")
-        if self.out_format not in ("csv", "md"):
-            raise UsageError(f"format must be 'csv' or 'md', got {self.out_format!r}")
+        for what, value, allowed in (("criterion", self.criterion, CRITERION_LABELS),
+                                     ("inner guess", self.inner_guess, INNER_GUESSES),
+                                     ("format", self.out_format, OUT_FORMATS)):
+            if value is not None and value not in allowed:  # None: unset
+                raise UsageError(f"unknown {what} {value!r}; expected one of {allowed}")
         for name in ("tol", "adaptive_c"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -192,7 +190,7 @@ def emit(report: TableReport, out_format: str) -> bytes:
         return ("\n".join(lines) + "\n").encode("utf-8")
     if out_format == "md":
         return _emit_markdown(report).encode("utf-8")
-    raise UsageError(f"format must be 'csv' or 'md', got {out_format!r}")
+    raise UsageError(f"unknown format {out_format!r}; expected one of {OUT_FORMATS}")
 
 
 def _pipe_row(cells) -> str:

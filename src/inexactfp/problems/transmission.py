@@ -43,6 +43,8 @@ from ..fixedpoint import DEFAULT_MAX_ITER, FixedPointTrace, _drive
 from ..krylov import SolveReport, TerminationCriterion, cg_solve
 from ..linalg import norm2
 
+INNER_GUESSES = ("previous", "zero")  # dn_step's inner_guess values
+
 
 def exact_solution(x, y):
     """Closed-form solution sin(pi y^2) sin(pi/2 x^2); zero on the boundary."""
@@ -65,11 +67,11 @@ class TransmissionSystem:
     A monolithic vector is an ``(m, 2m + 1)`` row-major array over the
     interior nodes (j, i), with ``m = n_cells - 1``: columns ``[:, :m]``
     are Omega1, column ``m`` is the interface and ``[:, m + 1:]`` are
-    Omega2. Omega1 vectors are the ``(m, m)`` block flattened;
-    B-ordered vectors are the interface column followed by the flattened
-    Omega2 block. The oracle ``monolithic_solution`` is ``monolithic_field``
-    at this mesh, flattened and cached: solved from the mesh alone, it reads
-    neither operator nor the stored forcings.
+    Omega2. Omega1 vectors are the ``(m, m)`` block flattened, B-ordered
+    ones the ``(m, m + 1)`` block ``[:, m:]`` in ``_interface_first`` order:
+    the interface (``interface``), then Omega2 row by row. The oracle
+    ``monolithic_solution`` is ``monolithic_field`` at this mesh, cached as
+    its grid: solved from the mesh alone, it reads no operator or forcing.
 
     Both operators are blocks of the monolithic five-point matrix, built by
     ``_five_point``: ``A`` of the Omega1 columns in its DIA form, and ``B``
@@ -105,6 +107,10 @@ class TransmissionSystem:
         """View of a flat grid vector as its rows j = 1 .. n_cells - 1."""
         return v.reshape(self.interface_count, -1)
 
+    def interface(self, u2: np.ndarray) -> np.ndarray:
+        """View of the interface values of a B-ordered vector."""
+        return u2[: self.interface_count]
+
     # -- right-hand side builders ------------------------------------------
     def b1(self, u_gamma: np.ndarray) -> np.ndarray:
         """Dirichlet block rhs: forcing plus interface data on the adjacent column."""
@@ -115,7 +121,7 @@ class TransmissionSystem:
     def b2(self, u1_coupling: np.ndarray) -> np.ndarray:
         """Neumann block rhs: forcing plus the Omega1 neighbour column values."""
         b = -self.f_block2
-        b[: self.interface_count] += u1_coupling * (1.0 / self.dx**2)
+        self.interface(b)[:] += u1_coupling * (1.0 / self.dx**2)
         return b
 
     def coupling_column(self, u1: np.ndarray) -> np.ndarray:
@@ -124,25 +130,20 @@ class TransmissionSystem:
 
     # -- oracles -------------------------------------------------------------
     def monolithic_solution(self) -> np.ndarray:
-        """The monolithic solution in monolithic ordering, cached:
-        ``monolithic_field(dx)`` flattened."""
+        """The monolithic solution as its (m, 2m + 1) grid, cached:
+        ``monolithic_field(dx)``."""
         if self._monolithic_solution is None:
-            self._monolithic_solution = monolithic_field(self.dx).ravel()
+            self._monolithic_solution = monolithic_field(self.dx)
         return self._monolithic_solution
 
     def assemble_full(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-        """Stack subdomain solutions into monolithic ordering."""
+        """Stack subdomain solutions into the monolithic grid."""
         m = self.interface_count
-        full = np.empty(m * (2 * m + 1))
-        grid = self.grid(full)
-        grid[:, :m] = self.grid(u1)
-        grid[:, m] = u2[:m]
-        grid[:, m + 1:] = self.grid(u2[m:])
-        return full
+        return np.hstack([self.grid(u1), self.interface(u2)[:, None], self.grid(u2[m:])])
 
     def discretization_max_error(self) -> float:
         """Max-norm error of the monolithic solution against the exact field."""
-        _, _, exact, discrete = field_grids(self.dx, self.grid(self.monolithic_solution()))
+        _, _, exact, discrete = field_grids(self.dx, self.monolithic_solution())
         return float(np.abs(discrete - exact).max())
 
 
@@ -156,6 +157,11 @@ def _five_point(rows: int, cols: int, ih2: float) -> sp.dia_matrix:
     grid[0, -1] = grid[1, :, -1] = grid[3, :, 0] = grid[4, 0] = 0.0  # across a wall
     keep = data.any(axis=1)
     return sp.dia_matrix((data[keep], np.array([-cols, -1, 0, 1, cols])[keep]), shape=(size, size))
+
+
+def _interface_first(block: np.ndarray) -> np.ndarray:
+    """B's order of an (m, m + 1) Neumann grid: the interface column 0, then the rest by rows."""
+    return np.concatenate([block[:, 0], block[:, 1:].ravel()])
 
 
 def mesh_cells(dx: float) -> int:
@@ -202,30 +208,22 @@ def transmission_assemble(dx: float) -> TransmissionSystem:
     ih2 = 1.0 / h**2
     fs = _interior_forcing(n)
 
-    A = _five_point(m, m, ih2)
     # B interface first: rows taken, column indices remapped (faster than a column take)
-    block = np.arange(m * (m + 1)).reshape(m, m + 1)  # interface column 0
-    order = np.r_[block[:, 0], block[:, 1:].ravel()]
+    order = _interface_first(np.arange(m * (m + 1)).reshape(m, m + 1))
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size)
     C = _five_point(m, m + 1, ih2).tocsr()[order]
     B = sp.csr_matrix((C.data, inverse[C.indices].astype(C.indices.dtype), C.indptr), C.shape)
     B.sort_indices()
 
-    return TransmissionSystem(
-        dx=h,
-        n_cells=n,
-        A=A,
-        B=B,
-        f_omega1=fs[:, :m].ravel(),
-        f_block2=np.concatenate([fs[:, m], fs[:, n:].ravel()]),
-    )
+    return TransmissionSystem(dx=h, n_cells=n, A=_five_point(m, m, ih2), B=B,
+                              f_omega1=fs[:, :m].ravel(), f_block2=_interface_first(fs[:, m:]))
 
 
 @dataclass
 class DnState:
-    """Both subdomain solutions of the last sweep; the interface values are
-    ``u2[:interface_count]``.
+    """Both subdomain solutions of the last sweep: ``u1`` Omega1-ordered,
+    ``u2`` B-ordered, its interface values ``TransmissionSystem.interface(u2)``.
 
     The subdomain solutions serve double duty: initial guesses for the next
     inner solves and the coupling data for the Neumann block.
@@ -237,12 +235,8 @@ class DnState:
     @classmethod
     def from_monolithic(cls, sys: TransmissionSystem) -> "DnState":
         """The exact coupled fixed point, restricted to the blocks."""
-        u = sys.grid(sys.monolithic_solution())
-        m = sys.interface_count
-        return cls(
-            u1=u[:, :m].flatten(),
-            u2=np.concatenate([u[:, m], u[:, m + 1:].ravel()]),
-        )
+        u, m = sys.monolithic_solution(), sys.interface_count
+        return cls(u1=u[:, :m].flatten(), u2=_interface_first(u[:, m:]))
 
 
 def dn_step(
@@ -259,11 +253,11 @@ def dn_step(
     is the new interface iterate. ``inner_guess`` starts each inner solve from the
     previous sweep's solution ("previous") or from zero ("zero").
     """
-    if inner_guess not in ("previous", "zero"):
-        raise ValueError(f"inner_guess must be 'previous' or 'zero', got {inner_guess!r}")
+    if inner_guess not in INNER_GUESSES:
+        raise ValueError(f"unknown inner_guess {inner_guess!r}; expected one of {INNER_GUESSES}")
     cap = 4 * sys.n2
     x0_1 = state.u1 if inner_guess == "previous" else np.zeros(sys.n1)
-    u_gamma = state.u2[: sys.interface_count]
+    u_gamma = sys.interface(state.u2)
     rep1 = cg_solve(sys.A, sys.b1(u_gamma), x0=x0_1, criterion=criterion, max_iter=cap)
 
     coupling = sys.coupling_column(state.u1)  # previous sweep's solution
@@ -284,14 +278,13 @@ def dn_iterate(
     drops below ``tol``; the trace records both solve reports per sweep, the
     Neumann solve's last: it produces the iterate, so it decides stagnation."""
     state = DnState(np.zeros(sys.n1), np.zeros(sys.n2))
-    m = sys.interface_count
 
     def step(u_gamma, k):
         nonlocal state
         state, reports = dn_step(sys, state, criterion, inner_guess)
-        return state.u2[:m], list(reports)
+        return sys.interface(state.u2), list(reports)
 
-    trace = _drive(step, state.u2[:m], tol, max_iter)
+    trace = _drive(step, sys.interface(state.u2), tol, max_iter)
     trace.state = state
     return trace
 
@@ -299,7 +292,7 @@ def dn_iterate(
 def solution_errors(sys: TransmissionSystem, state: DnState) -> tuple[float, float]:
     """(interface error, full-domain error) against the monolithic solution."""
     diff = sys.assemble_full(state.u1, state.u2) - sys.monolithic_solution()
-    return norm2(sys.grid(diff)[:, sys.interface_count]), norm2(diff)
+    return norm2(diff[:, sys.interface_count]), norm2(diff)
 
 
 def field_grids(dx: float, interior: np.ndarray):

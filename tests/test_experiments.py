@@ -392,6 +392,22 @@ def test_cli_mode_names_the_other_modes_flags(argv, message, capsys):
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("key", ["experiment", "criterion", "inner-guess", "format"])
+def test_cli_invalid_choice_fails_alike_from_flag_and_config(key, tmp_path, capsys):
+    # one check, in ExperimentConfig.validate, whichever way the value came
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key}=foo\n")
+    base = [] if key == "experiment" else ["--experiment", "transmission-error"]
+    assert main([*base, f"--{key}", "foo"]) == 1
+    from_flag = capsys.readouterr()
+    assert main([*base, "--config", str(cfg_file)]) == 1
+    from_file = capsys.readouterr()
+    assert from_flag.out == from_file.out == ""
+    assert from_flag.err == from_file.err
+    what = key.replace("-", " ")
+    assert from_flag.err.startswith(f"error: unknown {what} 'foo'; expected one of (")
+
+
 def test_config_file_rejects_unknown_key(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("experiment=picard\nwhatever=1\n")

@@ -388,6 +388,37 @@ def test_nested_bound_holds_on_drawn_linear_contractions(n, seed, L_S, q, eps, d
     assert err <= bound_nested(eps, delta, L_S, L_F) + bound_slack(L_S * L_F, x_star)
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), L_S=st.floats(0.1, 2.0),
+       q=st.floats(0.0, 0.95), eps=st.floats(0.0, 1.0), delta=st.floats(0.0, 1.0))
+def test_nested_per_step_bound_holds_with_fresh_drawn_perturbations(n, seed, L_S, q, eps,
+                                                                     delta):
+    # e_k and d_k of norms eps and delta in a new drawn direction at every
+    # step: ||x_k - x*|| <= rho^k ||x_0 - x*|| + (L_S eps + delta)(1 - rho^k)/(1 - rho)
+    L_F = q / L_S
+    rng = np.random.default_rng(seed)
+    M_S, c_S = linear_contraction(rng, n, L_S)
+    M_F, c_F = linear_contraction(rng, n, L_F)
+    x_star = np.linalg.solve(np.eye(n) - M_S @ M_F, M_S @ c_F + c_S)
+    iterates = [np.zeros(n)]
+
+    def S(z):
+        iterates.append(M_S @ z + c_S + delta * unit_vector(rng, n))
+        return iterates[-1]
+
+    # the increments stay near the perturbations, so most runs end at max_iter
+    none = PerturbationSchedule(0.0)
+    trace = iterate_nested(S, lambda x: M_F @ x + c_F + eps * unit_vector(rng, n),
+                           none, none, np.zeros(n), BOUND_TOL, max_iter=200)
+    assert len(iterates) == trace.steps + 1
+    assert np.array_equal(iterates[-1], trace.final)  # the schedules add zero
+    rho, k = L_S * L_F, np.arange(len(iterates))
+    errors = np.array([norm2(x - x_star) for x in iterates])
+    bound = (rho**k * errors[0] + (L_S * eps + delta) * (1 - rho**k) / (1 - rho)
+             + 1e-12 * (1 + norm2(x_star)))
+    assert np.all(errors <= bound)
+
+
 # ---------------------------------------------------------------------------
 # inexact inner solves: x -> solve(A, B x + c) with ||A^-1 B||_2 = L
 # ---------------------------------------------------------------------------
