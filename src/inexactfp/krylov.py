@@ -34,11 +34,13 @@ The operator is a callable ``v -> A v`` or a matrix. A float64 CSR or DIA
 matrix is applied by scipy's ``csr_matvec`` or ``dia_matvec`` kernel
 directly, the exact call that ``A @ v`` ends in, without the dispatch around
 it; any other matrix (other formats and dtypes, dense arrays) through
-``A @ v``. Both give the same bits. A DIA matrix with ascending offsets sums
-each row in sorted column order, as CSR does, so for finite vectors its
-product has the bits of the same matrix in CSR. The one difference: DIA
-multiplies the zeros it stores by the input too, so a non-finite entry gives
-NaN in a row where CSR skips it; the residual is non-finite either way.
+``A @ v``. Both give the same bits. scipy is imported only for an operator
+that is neither callable nor an ndarray. A DIA matrix with ascending
+offsets sums each row in sorted column order, as CSR does, so for finite
+vectors its product has the bits of the same matrix in CSR. The one
+difference: DIA multiplies the zeros it stores by the input too, so a
+non-finite entry gives NaN in a row where CSR skips it; the residual is
+non-finite either way.
 CG's inner products and GMRES's Gram-Schmidt products and Arnoldi norm are
 ``ndarray.dot``: the BLAS ``ddot`` or ``dgemv`` that ``@`` ends in, without
 the matmul dispatch. GMRES keeps its Arnoldi basis in the rows of ``V`` and
@@ -55,8 +57,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .linalg import DimensionMismatchError, norm2
 
@@ -126,25 +126,29 @@ class SolveReport:
 
 
 def _as_apply(op):
-    if callable(op) and not sp.issparse(op) and not isinstance(op, np.ndarray):
+    if callable(op):  # no ndarray and no scipy sparse matrix is callable
         return op
-    if sp.issparse(op) and op.format in ("csr", "dia") and op.dtype == np.float64:
-        m, n = op.shape
-        if op.format == "csr":
-            kernel = _sparsetools.csr_matvec
-            arrays = (op.indptr, op.indices, op.data)
-        else:
-            kernel = _sparsetools.dia_matvec
-            arrays = (len(op.offsets), op.data.shape[1], op.offsets, op.data)
+    if not isinstance(op, np.ndarray):
+        import scipy.sparse as sp  # on first use: only a sparse operator needs scipy
+        from scipy.sparse import _sparsetools
 
-        def kernel_apply(v):
-            if v.shape != (n,):  # the kernels do not check lengths
-                raise DimensionMismatchError(f"operator is {m}x{n}, vector has shape {v.shape}")
-            y = np.zeros(m)
-            kernel(m, n, *arrays, v, y)
-            return y
+        if sp.issparse(op) and op.format in ("csr", "dia") and op.dtype == np.float64:
+            m, n = op.shape
+            if op.format == "csr":
+                kernel = _sparsetools.csr_matvec
+                arrays = (op.indptr, op.indices, op.data)
+            else:
+                kernel = _sparsetools.dia_matvec
+                arrays = (len(op.offsets), op.data.shape[1], op.offsets, op.data)
 
-        return kernel_apply
+            def kernel_apply(v):
+                if v.shape != (n,):  # the kernels do not check lengths
+                    raise DimensionMismatchError(f"operator is {m}x{n}, vector has shape {v.shape}")
+                y = np.zeros(m)
+                kernel(m, n, *arrays, v, y)
+                return y
+
+            return kernel_apply
     return lambda v: np.asarray(op @ v, dtype=float)
 
 

@@ -16,7 +16,6 @@ relative-to-previous-iterate rule the convergence theory wants.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..fixedpoint import FixedPointTrace, Termination, _drive
 from ..krylov import TerminationCriterion, gmres_solve
@@ -35,6 +34,8 @@ def picard_assemble(x: np.ndarray):
     finite x. The result is DIA at offsets -1, 0, 1, which sums each row of
     a product in column order, as CSR does.
     """
+    import scipy.sparse as sp  # on first use: no scipy at import
+
     x = np.asarray(x, dtype=float)
     n, nu = len(x), VISCOSITY
     h = 1.0 / (n + 1)

@@ -34,14 +34,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.linalg import solve as solve_direct  # unused here; perfbench/spans.py wraps this name
 
 from ..fixedpoint import DEFAULT_MAX_ITER, FixedPointTrace, _drive
 from ..krylov import SolveReport, TerminationCriterion, cg_solve
 from ..linalg import norm2
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 INNER_GUESSES = ("previous", "zero")  # dn_step's inner_guess values
 
@@ -151,6 +154,8 @@ def _five_point(rows: int, cols: int, ih2: float) -> sp.dia_matrix:
     """ih2 times the negated five-point Laplacian on a row-major (rows, cols)
     grid with zero walls, as DIA at ascending offsets -cols, -1, 0, 1, cols:
     zeros stored across the walls, diagonals without a nonzero left out."""
+    import scipy.sparse as sp  # on first use: no scipy at import
+
     size = rows * cols
     data = np.repeat(ih2 * np.array([[-1.0], [-1.0], [4.0], [-1.0], [-1.0]]), size, axis=1)
     grid = data.reshape(5, rows, cols)  # data[k, c] is entry (c - offsets[k], c)
@@ -202,6 +207,8 @@ def monolithic_field(dx: float) -> np.ndarray:
 
 def transmission_assemble(dx: float) -> TransmissionSystem:
     """Assemble all operators for mesh width ``dx`` (1/dx must be an integer)."""
+    import scipy.sparse as sp
+
     n = mesh_cells(dx)
     h = 1.0 / n
     m = n - 1
