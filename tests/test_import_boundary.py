@@ -1,11 +1,11 @@
 """scipy loads where a sparse operator is built or applied, never at import.
 
 One fresh interpreter imports the package, its CLI and acceptance modules,
-runs the two experiments that build no sparse matrix and solves with CG on
-a dense array and on a callable, recording the ``scipy`` modules loaded
-after each step; then it assembles a transmission system, which must load
-``scipy.sparse``. A module-level scipy import anywhere in the package fails
-the first check.
+runs the four experiments that build no sparse operator (the scalar and 2x2
+maps) and solves with CG on a dense array and on a callable, recording the
+``scipy`` modules loaded after each step; then it assembles a transmission
+system, which must load ``scipy.sparse``. A module-level scipy import
+anywhere in the package fails the first check.
 """
 
 import json
@@ -30,7 +30,7 @@ def scipy_modules():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
 seen = {"import": scipy_modules()}
-for experiment in ("scalar-direct", "linear-nested"):
+for experiment in ("scalar-direct", "scalar-adaptive", "linear-nested", "scalar-nested"):
     run_experiment(ExperimentConfig(experiment=experiment))
 seen["experiments"] = scipy_modules()
 M = np.array([[2.0, -1.0], [-1.0, 2.0]])
