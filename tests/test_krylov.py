@@ -17,6 +17,7 @@ from inexactfp.krylov import (
 )
 from inexactfp.linalg import DimensionMismatchError, norm2
 from inexactfp.problems.picard import N, picard_assemble, picard_forcing
+from inexactfp.problems.transmission import transmission_assemble
 
 
 def laplacian_1d(n):
@@ -460,6 +461,61 @@ def test_gmres_reports_bitwise_pinned(case):
         sub_floor = reports[len(criteria) - 1]
         assert sub_floor.breakdown == "attainable accuracy"
         assert np.any(np.diff(sub_floor.residual_history) > 0)
+
+
+# (kind, tau, max_iter): converged three ways, then the iteration cap and
+# attainable accuracy
+CG_CRITERIA = [("rel", 1e-6, 1000), ("relb", 1e-8, 1000), ("abs", 1e-10, 1000),
+               ("rel", 1e-6, 3), ("abs", 1e-30, 1000)]
+
+# sha256 of the reports of cg_solve, in order over operators, then criteria;
+# a change to CG must keep every bit of every field, the sign of each zero too
+CG_REPORT_DIGESTS = {
+    "transmission-A": "6f5a09f52c37e501d633ea587994ea10eb2b13b9056cadd4f6b4fcb8a0ae0b13",
+    "transmission-B": "ae0b7084e0193a7665d07a55cb3d7f771e7950ac5167dd84255e3787e93823c6",
+    "laplacian-e1": "48a47effb203f8c72bcf9dfcacf7d0defa194d257bf4811a77c590668c4117af",
+    "laplacian-signed-zeros": "536a81b63152de3fc1ebbbd9b446566cd0258423817be96febcab2273bf70c9b",
+    "indefinite": "b87d051ac8256b2a97c74210b96d80e7d2b1ccf4e63c3bd93f383e19f3c65adb",
+}
+
+
+def cg_pinned_system(case):
+    """Operators (sparse, dense, callable), rhs and initial guess of a case,
+    and the outcomes its criteria must reach."""
+    outcomes = {None, "iteration cap", "attainable accuracy"}
+    if case.startswith("transmission-"):
+        sys = transmission_assemble(0.1)
+        rng = np.random.default_rng(34)
+        if case == "transmission-A":  # DIA
+            A, b = sys.A, sys.b1(rng.normal(size=sys.interface_count))
+        else:  # CSR
+            A, b = sys.B, sys.b2(rng.normal(size=sys.interface_count))
+        return [A, A.toarray(), lambda v: A @ v], b, 0.1 * rng.normal(size=len(b)), outcomes
+    n = 12
+    if case == "indefinite":
+        A = np.diag(np.r_[np.ones(n - 1), -1.0])
+        return [sp.csr_matrix(A), A, lambda v: A @ v], np.ones(n), np.zeros(n), {
+            "indefinite or non-finite"}
+    A = laplacian_1d(n)
+    b, x0 = np.zeros(n), np.zeros(n)
+    if case == "laplacian-signed-zeros":
+        b[1::2] = x0[::3] = -0.0
+    b[0] = 1.0
+    return [A, A.todia(), A.toarray(), lambda v: A @ v], b, x0, outcomes
+
+
+@pytest.mark.parametrize("case", list(CG_REPORT_DIGESTS))
+def test_cg_reports_bitwise_pinned(case):
+    operators, b, x0, outcomes = cg_pinned_system(case)
+    digest = hashlib.sha256()
+    reached = set()
+    for op in operators:
+        for kind, tau, max_iter in CG_CRITERIA:
+            rep = cg_solve(op, b, x0, TerminationCriterion(kind, tau), max_iter=max_iter)
+            reached.add(rep.breakdown)
+            digest.update(report_digest(rep).encode())
+    assert digest.hexdigest() == CG_REPORT_DIGESTS[case]
+    assert reached == outcomes
 
 
 @st.composite
