@@ -30,17 +30,20 @@ solver restarts from the true residual. GMRES applies the same verdict once
 its Krylov space is exhausted (happy breakdown, or n steps of full GMRES),
 where a restart cannot gain.
 
-The operator is a callable ``v -> A v`` or a matrix. A float64 CSR or DIA
-matrix is applied by scipy's ``csr_matvec`` or ``dia_matvec`` kernel
-directly, the exact call that ``A @ v`` ends in, without the dispatch around
-it; any other matrix (other formats and dtypes, dense arrays) through
-``A @ v``. Both give the same bits. scipy is imported only for an operator
-that is neither callable nor an ndarray. A DIA matrix with ascending
-offsets sums each row in sorted column order, as CSR does, so for finite
-vectors its product has the bits of the same matrix in CSR. The one
-difference: DIA multiplies the zeros it stores by the input too, so a
-non-finite entry gives NaN in a row where CSR skips it; the residual is
-non-finite either way.
+The operator is a callable ``v -> A v`` or a matrix, applied as
+``apply(v, out=None)``: the product, also written into ``out`` if given. A
+square float64 CSR or DIA matrix goes to scipy's ``csr_matvec`` or
+``dia_matvec`` kernel directly, the exact call that ``A @ v`` ends in,
+without the dispatch around it; any other matrix (other formats and dtypes,
+dense arrays) through ``A @ v``. Both give the same bits. A callable's or
+``A @ v``'s product of another shape than ``v`` raises
+``DimensionMismatchError``, where ``out`` would broadcast it. scipy is
+imported only for an operator that is neither callable nor an ndarray. A DIA
+matrix with ascending offsets sums each row in sorted column order, as CSR
+does, so for finite vectors its product has the bits of the same matrix in
+CSR. The one difference: DIA multiplies the zeros it stores by the input
+too, so a non-finite entry gives NaN in a row where CSR skips it; the
+residual is non-finite either way.
 CG's inner products and GMRES's Gram-Schmidt products and Arnoldi norm are
 ``ndarray.dot``: the BLAS ``ddot`` or ``dgemv`` that ``@`` ends in, without
 the matmul dispatch. GMRES keeps its Arnoldi basis in the rows of ``V`` and
@@ -49,6 +52,11 @@ same few BLAS calls whatever its index: the operator reads a contiguous
 row, each Gram-Schmidt pass is ``V[:j+1].dot(w)`` and ``h.dot(V[:j+1])``,
 and the new Hessenberg column is rotated by one ``np.matmul`` written
 straight into a row of the triangular factor, which is stored by rows.
+CG keeps ``x`` and ``s = -r`` in the rows of one ``(2, n)`` array and ``p``
+and ``Ap`` (the operator's ``out``) in another: one multiply and one add
+update both. Round to nearest is symmetric in sign, fl(-r + t) = -fl(r - t),
+so ``p -= s`` and ``s.dot(s)`` give the bits of ``p += r`` and ``r.dot(r)``
+but for the sign of a zero: ``s`` holds +0 where ``r`` would.
 """
 
 from __future__ import annotations
@@ -78,8 +86,8 @@ class TerminationCriterion:
     def __post_init__(self):
         if self.kind not in CRITERION_LABELS:
             raise ValueError(f"unknown criterion {self.kind!r}; expected one of {CRITERION_LABELS}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < math.inf:  # an inf tau makes the threshold inf * 0 = NaN
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
     def threshold(self, initial_residual_norm: float, rhs_norm: float) -> float:
         """The residual norm the criterion compares against."""
@@ -126,14 +134,14 @@ class SolveReport:
 
 
 def _as_apply(op):
-    if callable(op):  # no ndarray and no scipy sparse matrix is callable
-        return op
-    if not isinstance(op, np.ndarray):
+    if not (callable(op) or isinstance(op, np.ndarray)):  # no sparse matrix is callable
         import scipy.sparse as sp  # on first use: only a sparse operator needs scipy
         from scipy.sparse import _sparsetools
 
         if sp.issparse(op) and op.format in ("csr", "dia") and op.dtype == np.float64:
             m, n = op.shape
+            if m != n:  # the kernels write m entries into an out of n
+                raise DimensionMismatchError(f"operator is {m}x{n}, not square")
             if op.format == "csr":
                 kernel = _sparsetools.csr_matvec
                 arrays = (op.indptr, op.indices, op.data)
@@ -141,15 +149,28 @@ def _as_apply(op):
                 kernel = _sparsetools.dia_matvec
                 arrays = (len(op.offsets), op.data.shape[1], op.offsets, op.data)
 
-            def kernel_apply(v):
+            def kernel_apply(v, out=None):
                 if v.shape != (n,):  # the kernels do not check lengths
                     raise DimensionMismatchError(f"operator is {m}x{n}, vector has shape {v.shape}")
-                y = np.zeros(m)
-                kernel(m, n, *arrays, v, y)
-                return y
+                if out is None:
+                    out = np.zeros(m)
+                else:
+                    out.fill(0.0)  # the kernels add into out
+                kernel(m, n, *arrays, v, out)
+                return out
 
             return kernel_apply
-    return lambda v: np.asarray(op @ v, dtype=float)
+    product = op if callable(op) else lambda v: op @ v
+
+    def checked_apply(v, out=None):
+        y = np.asarray(product(v), dtype=float)
+        if y.shape != v.shape:  # into out, a scalar or a length-1 product would broadcast
+            raise DimensionMismatchError(f"operator product has shape {y.shape}, vector {v.shape}")
+        if out is not None:
+            out[:] = y
+        return y
+
+    return checked_apply
 
 
 def _start(op, b, x0, criterion: TerminationCriterion):
@@ -225,49 +246,48 @@ def cg_solve(
     if done is not None:
         return done
 
-    p = r.copy()
-    tmp = np.empty_like(p)
-    rs = float(r.dot(r))
+    XS = np.array((x, -r))  # the stacked rows of the module docstring
+    PA = np.array((r, r))
+    x, s = XS
+    p, Ap = PA
+    tmp = np.empty_like(PA)
+    rs = float(s.dot(s))
     restart_res = history[0]
     a_max, floor_k = 0.0, floor(0.0)
     it = 0
     while it < max_iter:
-        Ap = apply_op(p)
+        apply_op(p, out=Ap)
         pAp = float(p.dot(Ap))
         if not math.isfinite(pAp) or pAp <= 0.0:
-            return report(x, False, it, norm2(b - apply_op(x)), "indefinite or non-finite")
+            return report(x.copy(), False, it, norm2(b - apply_op(x)), "indefinite or non-finite")
         alpha = rs / pAp
         if pAp / rs > a_max:
             a_max = pAp / rs
             floor_k = floor(a_max)
-        # x, r and p are updated in place through one work vector: the
-        # same IEEE operations as x + alpha * p etc., without temporaries.
-        # Ap is not scaled in place: a callable operator may own that array
-        np.multiply(p, alpha, out=tmp)
-        x += tmp
-        np.multiply(Ap, alpha, out=tmp)
-        r -= tmp
-        rs_new = float(r.dot(r))
+        np.multiply(PA, alpha, out=tmp)
+        XS += tmp
+        rs_new = float(s.dot(s))
         it += 1
         res = math.sqrt(rs_new)
         history.append(res)
         if not math.isfinite(res):
-            return report(x, False, it, res, "indefinite or non-finite")
+            return report(x.copy(), False, it, res, "indefinite or non-finite")
         if res <= threshold or res <= floor_k:
             r = b - apply_op(x)
             true_res = norm2(r)
             verdict = _drift_exit(true_res, threshold, floor_k, restart_res)
             if verdict is not None:
-                return report(x, verdict[0], it, true_res, verdict[1])
+                return report(x.copy(), verdict[0], it, true_res, verdict[1])
             # recurrence drifted: restart the recursion from the true residual
             restart_res = true_res
-            p = r.copy()
-            rs = float(r.dot(r))
+            np.negative(r, out=s)
+            p[:] = r
+            rs = float(s.dot(s))
             continue
         p *= rs_new / rs
-        p += r
+        p -= s
         rs = rs_new
-    return report(x, False, it, norm2(b - apply_op(x)), "iteration cap")
+    return report(x.copy(), False, it, norm2(b - apply_op(x)), "iteration cap")
 
 
 def gmres_solve(

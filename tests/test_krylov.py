@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ def test_criterion_threshold(criterion, current, r0, rhs, satisfied):
 def test_criterion_rejects_nonpositive_tolerance():
     with pytest.raises(ValueError):
         TerminationCriterion("abs", 0.0)
+
+
+@pytest.mark.parametrize("kind", CRITERION_LABELS)
+@pytest.mark.parametrize("tau", [math.inf, math.nan])
+def test_criterion_rejects_non_finite_tolerance(kind, tau):
+    # rel at inf would ask for inf * 0 = NaN of an exact initial guess
+    with pytest.raises(ValueError, match="positive and finite"):
+        TerminationCriterion(kind, tau)
 
 
 @pytest.mark.parametrize("kind", ["relative", "REL", "absolute", "", None])
@@ -189,9 +198,44 @@ def test_callable_owning_its_output_gives_matmul_bits(solver, kind, tau):
     assert report_digest(rep) == report_digest(expected)
 
 
+@pytest.mark.parametrize("solver", SOLVERS, ids=["cg", "gmres"])
+@pytest.mark.parametrize("op, shape", [
+    (lambda v: 2.0 * v.sum(), r"shape \(\)"),
+    (lambda v: np.array([v.sum()]), r"shape \(1,\)"),
+    (lambda v: v[1:], r"shape \(5,\)"),
+    (lambda v: np.r_[v, 1.0], r"shape \(7,\)"),
+    (np.ones((1, 6)), r"shape \(1,\)"),
+    (np.ones((7, 6)), r"shape \(7,\)"),
+    (sp.csr_matrix(np.ones((1, 6))), "1x6"),
+    (sp.dia_matrix(np.ones((7, 6))), "7x6"),
+], ids=["scalar", "length-1", "n-1", "n+1", "dense-1xn", "dense-(n+1)xn", "csr-1xn",
+        "dia-(n+1)xn"])
+def test_product_of_wrong_shape_is_rejected(solver, op, shape):
+    # written into a work row, a scalar or length-1 product would broadcast
+    # and the solve would go on with it
+    with pytest.raises(DimensionMismatchError, match=shape):
+        solver(op, np.arange(1.0, 7.0), np.zeros(6), TerminationCriterion("rel", 1e-8))
+
+
 # ---------------------------------------------------------------------------
 # conjugate gradients
 # ---------------------------------------------------------------------------
+
+def test_cg_solution_owns_its_memory():
+    # every exit returns a vector of its own, not a row of CG's work arrays,
+    # so a DnState holds one vector per block
+    A, b = laplacian_1d(12), np.random.default_rng(12).normal(size=12)
+    reports = [cg_solve(A, b, np.zeros(12), TerminationCriterion(kind, tau), max_iter=cap)
+               for kind, tau, cap in [("abs", 1e3, 100), ("rel", 1e-6, 100), ("rel", 1e-6, 3),
+                                      ("abs", 1e-30, 100)]]
+    reports.append(cg_solve(np.diag(np.r_[np.ones(11), -1.0]), b, np.zeros(12),
+                            TerminationCriterion("rel", 1e-6)))
+    assert [(rep.iterations > 0, rep.breakdown) for rep in reports] == [
+        (False, None), (True, None), (True, "iteration cap"), (True, "attainable accuracy"),
+        (True, "indefinite or non-finite")]
+    for rep in reports:
+        assert rep.solution.base is None
+
 
 def test_cg_identity_single_iteration():
     b = np.array([1.0, 2.0, 3.0, 4.0])
