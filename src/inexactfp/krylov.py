@@ -56,7 +56,7 @@ CG keeps ``x`` and ``s = -r`` in the rows of one ``(2, n)`` array and ``p``
 and ``Ap`` (the operator's ``out``) in another: one multiply and one add
 update both. Round to nearest is symmetric in sign, fl(-r + t) = -fl(r - t),
 so ``p -= s`` and ``s.dot(s)`` give the bits of ``p += r`` and ``r.dot(r)``
-but for the sign of a zero: ``s`` holds +0 where ``r`` would.
+but for the sign of a zero: ``s`` holds +0 where ``r`` holds +0 too.
 """
 
 from __future__ import annotations
