@@ -421,9 +421,8 @@ ALL_CHECKS = {
 def run_acceptance(ids=None):
     """Execute acceptance criteria; returns (results, all_passed)."""
     selected = list(ALL_CHECKS) if not ids else list(ids)
-    results = []
-    for cid in selected:
+    for cid in selected:  # every id before any check runs
         if cid not in ALL_CHECKS:
             raise ValueError(f"unknown acceptance criterion {cid!r}")
-        results.append(ALL_CHECKS[cid]())
+    results = [ALL_CHECKS[cid]() for cid in selected]
     return results, all(r.passed for r in results)

@@ -127,8 +127,8 @@ class ExperimentConfig:
                 raise UsageError(f"{name} must be nonnegative, got {values}")
         if self.tol is not None and self.tol <= 0:
             raise UsageError(f"tol must be positive, got {self.tol}")
-        if self.max_outer is not None and self.max_outer < 1:
-            raise UsageError(f"max_outer must be at least 1, got {self.max_outer}")
+        if self.max_outer is not None and (type(self.max_outer) is not int or self.max_outer < 1):
+            raise UsageError(f"max_outer must be an integer >= 1, got {self.max_outer!r}")
         for dx in self.dxs or ():
             try:
                 mesh_cells(dx)

@@ -8,11 +8,10 @@ x^{k+1} = S(F(x^k) + eps_k) + delta_k obeys
 ||x_eps - x*|| <= (eps L_S + delta) / (1 - L_S L_F).
 
 Scalar problems ride along as length-1 vectors so one outer loop, ``_drive``,
-serves every driver: the three here, Picard and Dirichlet-Neumann, each
-supplying a step and, where it does not test the increment, an exit test.
-The maps of the three drivers here return vectors; Picard and
-Dirichlet-Neumann, whose steps are inner solves, hand their solve reports
-to the trace through the step.
+serves every driver and decides every exit: the three here, Picard and
+Dirichlet-Neumann, each supplying a step. Picard and Dirichlet-Neumann, whose
+steps are inner solves, hand their solve reports to the trace through the
+step, and Picard, whose exit tests a nonlinear residual, that residual.
 """
 
 from __future__ import annotations
@@ -53,9 +52,9 @@ class FixedPointTrace:
     ``residual_history``.
     ``residuals`` holds the per-step nonlinear residual norms of a Picard
     run, whose outer exit tests them instead of the increment (``None`` for
-    other drivers). ``state`` holds a driver's final state beyond the
-    iterate, when it has one (the subdomain solutions of a Dirichlet-Neumann
-    run).
+    other drivers and for a run of no steps). ``state`` holds a driver's
+    final state beyond the iterate, when it has one (the subdomain solutions
+    of a Dirichlet-Neumann run).
     """
 
     final: np.ndarray
@@ -120,29 +119,29 @@ def _as_state(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
-def _drive(step, x0, tol: float, max_iter: int, exit_test=None) -> FixedPointTrace:
-    """The outer loop of every driver: step(x, k) -> (next iterate, reports).
+def _drive(step, x0, tol: float, max_iter: int) -> FixedPointTrace:
+    """The outer loop of every driver: step(x, k) -> (next iterate, reports,
+    residual), ``residual`` None for a driver that tests the increment.
 
     Each step exits on divergence (inc > DIVERGENCE_LIMIT * max(1, first inc)),
-    then on inner stagnation, then when ``exit_test(y, inc)`` returns a
-    Termination; the default tests inc <= tol.
+    then on inner stagnation, then when its residual, else its increment, is <= tol.
     Inner stagnation is judged by the solve that produced the iterate, which
     a step lists last: it did 0 iterations and the iterate did not move.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if exit_test is None:
-        def exit_test(y, inc):
-            return Termination.INCREMENT_BELOW_TOL if inc <= tol else None
     x = _as_state(x0)
     increments: list[float] = []
     inner_reports: list[list[SolveReport]] = []
+    residuals: list[float] = []
     terminated = Termination.MAX_ITER
     for k in range(max_iter):
-        y, reports = step(x, k)
+        y, reports, residual = step(x, k)
         inc = norm2(y - x)
         increments.append(inc)
         inner_reports.append([replace(r, solution=None, residual_history=None) for r in reports])
+        if residual is not None:
+            residuals.append(residual)
         x = y
         if not np.all(np.isfinite(y)) or inc > DIVERGENCE_LIMIT * max(1.0, increments[0]):
             terminated = Termination.DIVERGED
@@ -150,11 +149,11 @@ def _drive(step, x0, tol: float, max_iter: int, exit_test=None) -> FixedPointTra
         if inc == 0.0 and reports and reports[-1].iterations == 0:
             terminated = Termination.INNER_STAGNATION
             break
-        verdict = exit_test(y, inc)
-        if verdict is not None:
-            terminated = verdict
+        if (inc if residual is None else residual) <= tol:
+            terminated = (Termination.INCREMENT_BELOW_TOL if residual is None
+                          else Termination.RESIDUAL_BELOW_TOL)
             break
-    return FixedPointTrace(x, increments, inner_reports, terminated)
+    return FixedPointTrace(x, increments, inner_reports, terminated, residuals or None)
 
 
 def iterate_plain(
@@ -166,7 +165,7 @@ def iterate_plain(
     """Run x^{k+1} = f(x^k) until the increment drops below ``tol``."""
 
     def step(x, k):
-        return _as_state(f(x)), []
+        return _as_state(f(x)), [], None
 
     return _drive(step, x0, tol, max_iter)
 
@@ -182,7 +181,7 @@ def iterate_perturbed(
 
     def step(x, k):
         y = _as_state(f(x))
-        return y + schedule.vector(k, y.shape[0]), []
+        return y + schedule.vector(k, y.shape[0]), [], None
 
     return _drive(step, x0, tol, max_iter)
 
@@ -202,6 +201,6 @@ def iterate_nested(
         inner = _as_state(F(x))
         inner = inner + eps_schedule.vector(k, inner.shape[0])
         outer = _as_state(S(inner))
-        return outer + delta_schedule.vector(k, outer.shape[0]), []
+        return outer + delta_schedule.vector(k, outer.shape[0]), [], None
 
     return _drive(step, x0, tol, max_iter)

@@ -110,8 +110,8 @@ class SolveReport:
     starting from the initial one. A fixed point trace keeps its reports
     with ``None`` in ``solution`` and ``residual_history``.
 
-    ``breakdown`` is ``None`` exactly when ``converged`` is true. Otherwise it
-    names the reason the solve stopped short:
+    ``converged`` is ``breakdown is None``. Otherwise ``breakdown`` names
+    the reason the solve stopped short:
 
     * ``"iteration cap"``: ``max_iter`` ran out;
     * ``"attainable accuracy"``: the threshold is below what the true
@@ -128,9 +128,12 @@ class SolveReport:
     initial_residual_norm: float
     threshold: float
     final_residual_norm: float
-    converged: bool
     breakdown: str | None = None
     residual_history: list[float] | None = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.breakdown is None
 
 
 def _as_apply(op):
@@ -190,14 +193,13 @@ def _start(op, b, x0, criterion: TerminationCriterion):
     history = [r0_norm]
     threshold = criterion.threshold(r0_norm, rhs_norm)
 
-    def report(x, converged, iterations, final, breakdown=None):
+    def report(x, iterations, final, breakdown=None):
         return SolveReport(
             solution=x,
             iterations=iterations,
             initial_residual_norm=r0_norm,
             threshold=threshold,
             final_residual_norm=final,
-            converged=converged,
             breakdown=breakdown,
             residual_history=history,
         )
@@ -207,9 +209,9 @@ def _start(op, b, x0, criterion: TerminationCriterion):
 
     done = None
     if not math.isfinite(r0_norm):  # inf <= tau * inf would pass the test below
-        done = report(x, False, 0, r0_norm, "indefinite or non-finite")
+        done = report(x, 0, r0_norm, "indefinite or non-finite")
     elif r0_norm <= threshold:
-        done = report(x, True, 0, r0_norm)
+        done = report(x, 0, r0_norm)
     return apply_op, b, x, r, history, threshold, floor, report, done
 
 
@@ -217,15 +219,16 @@ def _drift_exit(true_res: float, threshold: float, floor: float, restart_res: fl
     """The stopping rule shared by both solvers, applied once the recurrence
     residual has met ``max(threshold, floor)``.
 
-    Returns ``(converged, breakdown)`` to stop with, or ``None`` to restart
-    from the true residual. ``restart_res`` is the true residual at the
-    previous restart, or the initial residual before the first.
+    Returns ``(stop, breakdown)``: ``(True, None)`` to stop converged,
+    ``(True, "attainable accuracy")`` to stop short, ``(False, None)`` to
+    restart from the true residual. ``restart_res`` is the true residual at
+    the previous restart, or the initial residual before the first.
     """
     if true_res <= DRIFT_GUARD_FACTOR * threshold:
         return True, None
     if true_res <= DRIFT_GUARD_FACTOR * floor or true_res > RESTART_PROGRESS_FACTOR * restart_res:
-        return False, "attainable accuracy"
-    return None
+        return True, "attainable accuracy"
+    return False, None
 
 
 def cg_solve(
@@ -259,7 +262,7 @@ def cg_solve(
         apply_op(p, out=Ap)
         pAp = float(p.dot(Ap))
         if not math.isfinite(pAp) or pAp <= 0.0:
-            return report(x.copy(), False, it, norm2(b - apply_op(x)), "indefinite or non-finite")
+            return report(x.copy(), it, norm2(b - apply_op(x)), "indefinite or non-finite")
         alpha = rs / pAp
         if pAp / rs > a_max:
             a_max = pAp / rs
@@ -271,13 +274,13 @@ def cg_solve(
         res = math.sqrt(rs_new)
         history.append(res)
         if not math.isfinite(res):
-            return report(x.copy(), False, it, res, "indefinite or non-finite")
+            return report(x.copy(), it, res, "indefinite or non-finite")
         if res <= threshold or res <= floor_k:
             r = b - apply_op(x)
             true_res = norm2(r)
-            verdict = _drift_exit(true_res, threshold, floor_k, restart_res)
-            if verdict is not None:
-                return report(x.copy(), verdict[0], it, true_res, verdict[1])
+            stop, breakdown = _drift_exit(true_res, threshold, floor_k, restart_res)
+            if stop:
+                return report(x.copy(), it, true_res, breakdown)
             # recurrence drifted: restart the recursion from the true residual
             restart_res = true_res
             np.negative(r, out=s)
@@ -287,7 +290,7 @@ def cg_solve(
         p *= rs_new / rs
         p -= s
         rs = rs_new
-    return report(x.copy(), False, it, norm2(b - apply_op(x)), "iteration cap")
+    return report(x.copy(), it, norm2(b - apply_op(x)), "iteration cap")
 
 
 def gmres_solve(
@@ -381,7 +384,7 @@ def gmres_solve(
             res = abs(beta * float(Q[j_used, 0]))
             history.append(res)
             if not math.isfinite(res):
-                return report(x, False, total_it, res, "indefinite or non-finite")
+                return report(x, total_it, res, "indefinite or non-finite")
             satisfied = res <= threshold or res <= floor_k
             if satisfied or happy:
                 break
@@ -393,8 +396,9 @@ def gmres_solve(
         # exhausted, so a restart has nothing more to gain
         exhausted = happy or j_used == n
         if satisfied or exhausted:
-            verdict = _drift_exit(true_res, threshold, floor_k, 0.0 if exhausted else restart_res)
-            if verdict is not None:
-                return report(x, verdict[0], total_it, true_res, verdict[1])
+            stop, breakdown = _drift_exit(true_res, threshold, floor_k,
+                                          0.0 if exhausted else restart_res)
+            if stop:
+                return report(x, total_it, true_res, breakdown)
         restart_res = true_res  # restart from the true residual
-    return report(x, False, total_it, norm2(b - apply_op(x)), "iteration cap")
+    return report(x, total_it, norm2(b - apply_op(x)), "iteration cap")

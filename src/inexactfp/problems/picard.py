@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..fixedpoint import FixedPointTrace, Termination, _drive
+from ..fixedpoint import FixedPointTrace, _drive
 from ..krylov import TerminationCriterion, gmres_solve
 from ..linalg import norm2
 
@@ -73,19 +73,12 @@ def picard_iterate(
     x0 = np.zeros(N)
     inner_cap = 2 * N
     A = picard_assemble(x0)
-    residuals: list[float] = []
 
     def step(x, k):
         nonlocal A
         rep = gmres_solve(A, b, x0=x, criterion=criterion, max_iter=inner_cap)
         y = rep.solution
         A = picard_assemble(y)
-        residuals.append(norm2(A @ y - b))
-        return y, [rep]
+        return y, [rep], norm2(A @ y - b)
 
-    def exit_test(y, inc):
-        return Termination.RESIDUAL_BELOW_TOL if residuals[-1] <= tol else None
-
-    trace = _drive(step, x0, tol, max_iter, exit_test)
-    trace.residuals = residuals
-    return trace
+    return _drive(step, x0, tol, max_iter)

@@ -86,13 +86,16 @@ class TransmissionSystem:
     product's bits.
     """
 
-    dx: float
     n_cells: int  # cells per unit length; interface at grid line n_cells
     A: sp.dia_matrix
     B: sp.csr_matrix
     f_omega1: np.ndarray  # forcing samples on Omega1 interior, A-ordering
     f_block2: np.ndarray  # forcing samples on Gamma + Omega2 interior, B-ordering
-    _monolithic_solution: np.ndarray | None = field(default=None, repr=False)
+    _monolithic_solution: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def dx(self) -> float:
+        return 1.0 / self.n_cells
 
     @property
     def interface_count(self) -> int:
@@ -223,7 +226,7 @@ def transmission_assemble(dx: float) -> TransmissionSystem:
     B = sp.csr_matrix((C.data, inverse[C.indices].astype(C.indices.dtype), C.indptr), C.shape)
     B.sort_indices()
 
-    return TransmissionSystem(dx=h, n_cells=n, A=_five_point(m, m, ih2), B=B,
+    return TransmissionSystem(n_cells=n, A=_five_point(m, m, ih2), B=B,
                               f_omega1=fs[:, :m].ravel(), f_block2=_interface_first(fs[:, m:]))
 
 
@@ -289,7 +292,7 @@ def dn_iterate(
     def step(u_gamma, k):
         nonlocal state
         state, reports = dn_step(sys, state, criterion, inner_guess)
-        return sys.interface(state.u2), list(reports)
+        return sys.interface(state.u2), list(reports), None
 
     trace = _drive(step, sys.interface(state.u2), tol, max_iter)
     trace.state = state

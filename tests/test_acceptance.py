@@ -11,6 +11,7 @@ noticed.
 import pytest
 
 from inexactfp.acceptance import (
+    ALL_CHECKS,
     TRANSMISSION_RELB_REFERENCE,
     check_a1,
     check_a2,
@@ -22,6 +23,7 @@ from inexactfp.acceptance import (
     check_a8,
     check_a10,
     check_a11,
+    run_acceptance,
 )
 from inexactfp.cli import main
 from inexactfp.experiments import ExperimentConfig, run_experiment
@@ -130,3 +132,12 @@ def test_cli_run_acceptance_empty_or_repeated_criteria(criteria, capsys):
 def test_cli_run_acceptance_unknown_criterion(capsys):
     assert main(["--run-acceptance", "--criteria", "A99"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_acceptance_rejects_an_unknown_id_before_any_check_runs(monkeypatch):
+    ran = []
+    for cid in ALL_CHECKS:
+        monkeypatch.setitem(ALL_CHECKS, cid, lambda cid=cid: ran.append(cid))
+    with pytest.raises(ValueError, match="unknown acceptance criterion 'ZZ'"):
+        run_acceptance(["A3", "ZZ"])
+    assert ran == []

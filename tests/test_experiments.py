@@ -42,6 +42,17 @@ def test_negative_grid_rejected():
         run_experiment(small_config(eps_values=[-1.0]))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: small_config(max_outer=2.5).validate(), "max_outer must be an integer >= 1"),
+    (lambda: small_config(max_outer=True).validate(), "max_outer must be an integer >= 1"),
+    (lambda: ExperimentConfig("transmission-iters", taus=[]).validate(), "taus must not be empty"),
+    (lambda: emit(TableReport("scalar-direct", []), "xml"), "unknown format"),
+], ids=["max-outer-float", "max-outer-bool", "taus-empty", "emit-xml"])
+def test_library_input_is_usage_error(call, message):
+    with pytest.raises(UsageError, match=message):
+        call()
+
+
 def test_scalar_direct_report_shape():
     report = run_experiment(small_config())
     assert len(report.rows) == 1
@@ -335,6 +346,8 @@ def test_cli_config_file_with_flag_override(tmp_path):
     (["--experiment", "transmission-error", "--dx", "1/10", "--config", "{cfg}"],
      "export-fields =\n"),
     (["--config", "{cfg}"], b"experiment = scalar-direct\n\xff\n"),
+    (["--bogus"], None),
+    (["--experiment", "picard", "--tau"], None),
 ], ids=["eps-abc", "dx-1/0", "config-tol-oops", "config-missing", "tol-nan", "dx-nan",
         "max-outer-0", "max-outer-neg", "tau-empty", "export-fields-scalar",
         "ls-lf-lengths", "ls-lf-default-length", "efficiency-two-dx",
@@ -345,7 +358,7 @@ def test_cli_config_file_with_flag_override(tmp_path):
         "tau-zero", "tol-negative", "acceptance-experiment-flags", "acceptance-out",
         "acceptance-config", "experiment-acceptance-flags", "gammas-empty-entry",
         "config-gammas-empty-entry", "out-empty", "config-out-empty", "export-fields-empty",
-        "config-export-fields-empty", "config-not-utf8"])
+        "config-export-fields-empty", "config-not-utf8", "unknown-flag", "tau-without-value"])
 def test_cli_malformed_number_is_usage_error(argv, config_text, tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"  # written only when the case has a file
     if isinstance(config_text, bytes):

@@ -115,6 +115,12 @@ def test_plain_increment_contraction_affine():
     assert all(incs[k + 1] <= L * incs[k] * (1 + 1e-8) for k in range(len(incs) - 1))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+def test_nonpositive_tol_rejected(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        iterate_plain(lambda x: 0.5 * x, 1.0, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # schedules
 # ---------------------------------------------------------------------------
@@ -443,7 +449,7 @@ def iterate_inner_solves(solver, A, B, c, criterion):
     """The outer iteration, each step one inner solve from the current iterate."""
     def step(x, k):
         rep = solver(A, B @ x + c, x, criterion)
-        return rep.solution, [rep]
+        return rep.solution, [rep], None
 
     return _drive(step, np.zeros(len(c)), OUTER_TOL, 2000)
 

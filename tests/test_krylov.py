@@ -634,6 +634,30 @@ def test_non_finite_initial_residual_is_not_converged(solver, kind, b, x0):
     assert rep.final_residual_norm == np.inf
 
 
+def test_cg_non_finite_recurrence_residual_is_a_breakdown():
+    # x and s stay finite, but s.dot(s) overflows after the first step
+    A = np.diag([1e-20, 1.0])
+    b = 1e150 * np.array([1.0, 1e-10])
+    with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+        rep = cg_solve(A, b, np.zeros(2), TerminationCriterion("abs", 1e-3))
+    assert rep.iterations == 1
+    assert rep.final_residual_norm == math.inf
+    assert rep.breakdown == "indefinite or non-finite"
+
+
+def test_gmres_non_finite_recurrence_residual_is_a_breakdown():
+    calls = []
+
+    def op(v):  # NaN from the third product, the second Arnoldi step's
+        calls.append(v)
+        return 2.0 * v + np.roll(v, 1) if len(calls) <= 2 else np.full_like(v, np.nan)
+
+    rep = gmres_solve(op, 1.0 + np.arange(5), np.zeros(5), TerminationCriterion("abs", 1e-12))
+    assert rep.iterations == 2
+    assert math.isnan(rep.final_residual_norm)
+    assert rep.breakdown == "indefinite or non-finite"
+
+
 @pytest.mark.parametrize("n", [20, 50, 100])
 def test_cg_threshold_far_below_floor_does_not_spin_to_cap(n):
     # the recurrence residual would have to underflow to meet 1e-200; the

@@ -117,6 +117,15 @@ def test_absolute_criterion_plateaus():
     assert 1e-5 <= trace.residuals[-1] <= 1e-2
 
 
+@pytest.mark.parametrize("kind, tau, steps", [("abs", 1e-2, 19), ("relb", 1e-1, 11)])
+def test_trace_holds_one_residual_per_step(kind, tau, steps):
+    # the step that stalls records its residual too, before the stagnation exit
+    trace = picard_iterate(TerminationCriterion(kind, tau), tol=1e-12)
+    assert trace.terminated_by is Termination.INNER_STAGNATION
+    assert trace.steps == steps
+    assert len(trace.residuals) == trace.steps
+
+
 def test_max_iter_caps_outer_steps():
     trace = picard_iterate(TerminationCriterion("rel", 1e-1), tol=1e-12, max_iter=3)
     assert trace.terminated_by is Termination.MAX_ITER

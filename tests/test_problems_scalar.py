@@ -24,6 +24,12 @@ def test_scalar_map_lipschitz_labels(gamma, L):
     assert lip == pytest.approx(L, abs=5e-7)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -0.3, math.nan])
+def test_scalar_map_rejects_nonpositive_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        scalar_map(gamma)
+
+
 def test_scalar_map_evaluates():
     f, _ = scalar_map(0.3)
     assert f(0.0) == pytest.approx(0.25)
