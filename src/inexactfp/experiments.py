@@ -241,11 +241,8 @@ def _markdown_blocks(report, outer, row_key, col_key, line_fields):
         lines.append(_pipe_row(["---"] * len(header)))
         for rv in row_values:
             for label, fld in line_fields:
-                cells = [_fmt(rv), label]
-                for cv in col_values:
-                    row = index.get((ov, rv, cv))
-                    cells.append(_fmt(row[fld]) if row else "-")
-                lines.append(_pipe_row(cells))
+                cells = [_fmt(index[ov, rv, cv][fld]) for cv in col_values]
+                lines.append(_pipe_row([_fmt(rv), label, *cells]))
         lines.append("")
     return lines
 

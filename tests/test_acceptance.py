@@ -8,10 +8,19 @@ kept as written so a future solver change that does reproduce it gets
 noticed.
 """
 
+import itertools
+
 import pytest
 
 from inexactfp.acceptance import (
     ALL_CHECKS,
+    LINEAR_NESTED_BOUND_REFERENCE,
+    LINEAR_NESTED_MEASURED_BASE,
+    NESTED_LF_VALUES,
+    SCALAR_DIRECT_REFERENCE,
+    SCALAR_NESTED_GLOBAL_REFERENCE,
+    SCALAR_NESTED_MEASURED_REFERENCE,
+    TRANSMISSION_ABS_REFERENCE,
     TRANSMISSION_RELB_REFERENCE,
     check_a1,
     check_a2,
@@ -130,8 +139,34 @@ def test_cli_run_acceptance_empty_or_repeated_criteria(criteria, capsys):
 
 
 def test_cli_run_acceptance_unknown_criterion(capsys):
-    assert main(["--run-acceptance", "--criteria", "A99"]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert main(["--run-acceptance", "--criteria", "A99,A1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown acceptance criterion 'A99'\n"
+
+
+def _default_grid(experiment, *names, **given):
+    cfg = ExperimentConfig(experiment, **given).with_defaults()
+    return list(itertools.product(*(getattr(cfg, name) for name in names)))
+
+
+def test_each_default_grid_is_its_criterions_reference():
+    # A criterion that passes no grid checks the experiment's default table,
+    # so a shrunk default grid would shrink the criterion without a failure.
+    assert _default_grid("scalar-direct", "gammas", "eps_values") == [  # A1
+        (gamma, eps) for gamma, per_eps in SCALAR_DIRECT_REFERENCE.items() for eps in per_eps]
+    assert _default_grid("linear-nested", "alphas", "betas") == list(  # A3, A4
+        LINEAR_NESTED_BOUND_REFERENCE) == list(LINEAR_NESTED_MEASURED_BASE)
+    for reference in (SCALAR_NESTED_GLOBAL_REFERENCE, SCALAR_NESTED_MEASURED_REFERENCE):  # A5
+        assert _default_grid("scalar-nested", "eps_values", "ls_values", "lf_values") == [
+            (eps, ls, lf) for eps, per_ls in reference.items()
+            for ls, cells in per_ls.items() for lf, _ in zip(NESTED_LF_VALUES, cells, strict=True)]
+    assert ExperimentConfig("transmission-error").with_defaults().criterion == "abs"  # A8
+    assert _default_grid("transmission-error", "dxs", "taus") == [
+        (dx, tau) for dx, per_tau in TRANSMISSION_ABS_REFERENCE.items() for tau in per_tau]
+    assert _default_grid("transmission-error", "taus", criterion="relb", dxs=[0.1]) == [  # A9
+        (tau,) for tau in TRANSMISSION_RELB_REFERENCE]
+    assert ExperimentConfig("transmission-efficiency").with_defaults().dxs == [0.05]  # A10
 
 
 def test_run_acceptance_rejects_an_unknown_id_before_any_check_runs(monkeypatch):

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import hashlib
 import io
@@ -291,14 +292,17 @@ def test_cli_fraction_mesh_widths(tmp_path):
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(
-        "# comment line\nexperiment=scalar-direct\ngammas=0.3\neps=1e-1,1e-2\n"
-    )
-    out = tmp_path / "out.csv"
-    code = main(["--config", str(cfg_file), "--eps", "1e-3", "--out", str(out)])
-    assert code == 0
-    lines = out.read_text().splitlines()
+    text = b"# comment line\nexperiment=scalar-direct\ngammas=0.3\neps=1e-1,1e-2\n"
+    outputs = []
+    # a file that starts with a UTF-8 byte-order mark, as Windows Notepad
+    # saves one, reads as the plain file
+    for name, data in (("run.cfg", text), ("bom.cfg", codecs.BOM_UTF8 + text)):
+        cfg_file, out = tmp_path / name, tmp_path / f"{name}.csv"
+        cfg_file.write_bytes(data)
+        assert main(["--config", str(cfg_file), "--eps", "1e-3", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0]
+    lines = outputs[0].decode("utf-8").splitlines()
     assert len(lines) == 2  # header + single row: the flag overrode the file
     assert "1.000e-03" in lines[1]
 

@@ -56,7 +56,7 @@ def test_norm2_squares_underflow():
     assert norm2(np.zeros(3)) == 0.0
 
 
-def test_solve_direct_coupled_2x2():
+def test_linear_nested_fixed_point_is_the_direct_solve():
     # (I - AB) x = b with alpha = beta = 0.1; elimination by hand gives
     # x1 = 1/0.99 and x2 = (1 + 0.000101 * x1) / 0.999999. linear_nested's
     # fixed point is this direct solve, bit for bit
