@@ -19,12 +19,13 @@ from .fixedpoint import (
 )
 from .krylov import (
     CRITERION_LABELS,
+    DimensionMismatchError,
     SolveReport,
     TerminationCriterion,
     cg_solve,
     gmres_solve,
+    norm2,
 )
-from .linalg import DimensionMismatchError, norm2
 
 __version__ = "0.1.0"
 

@@ -19,8 +19,7 @@ import numpy as np
 
 from .experiments import ExperimentConfig, UsageError, run_experiment
 from .fixedpoint import Termination
-from .krylov import DRIFT_GUARD_FACTOR, TerminationCriterion, cg_solve, gmres_solve
-from .linalg import norm2
+from .krylov import DRIFT_GUARD_FACTOR, TerminationCriterion, cg_solve, gmres_solve, norm2
 from .problems import transmission_assemble
 
 # ---------------------------------------------------------------------------

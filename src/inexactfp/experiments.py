@@ -26,8 +26,7 @@ from .fixedpoint import (
     iterate_perturbed,
     iterate_plain,
 )
-from .krylov import CRITERION_LABELS, TerminationCriterion
-from .linalg import norm2
+from .krylov import CRITERION_LABELS, TerminationCriterion, norm2
 from .problems import (
     dn_iterate,
     field_grids,
@@ -41,6 +40,7 @@ from .problems import (
     solution_errors,
     transmission_assemble,
 )
+from .problems.picard import PICARD_MAX_ITER
 from .problems.transmission import INNER_GUESSES, mesh_cells
 
 class UsageError(ValueError):
@@ -111,7 +111,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise UsageError(f"{name} must be finite, got {value}")
-        if self.adaptive_c < 0:  # zero is meaningful: no perturbation
+        if self.adaptive_c is not None and self.adaptive_c < 0:  # zero: no perturbation
             raise UsageError(f"adaptive_c must be nonnegative, got {self.adaptive_c}")
         for name in (*_POSITIVE_LISTS, *_NONNEGATIVE_LISTS):
             values = getattr(self, name)
@@ -453,7 +453,7 @@ _EXPERIMENTS = {
         ls_values=[0.1, 0.9, 0.99], lf_values=[0.01, 0.1, 0.9, 0.99],
         eps_values=[1e-1, 1e-2, 1e-3], tol=1e-14, max_outer=DEFAULT_MAX_ITER,
     )),
-    "picard": (_run_picard, dict(criterion=None, taus=None, tol=1e-12, max_outer=500)),
+    "picard": (_run_picard, dict(criterion=None, taus=None, tol=1e-12, max_outer=PICARD_MAX_ITER)),
     "transmission-error": (_run_transmission_sweep, dict(criterion="abs", **_DN_SWEEP)),
     "transmission-iters": (_run_transmission_sweep, dict(criterion="rel", **_DN_SWEEP)),
     "transmission-efficiency": (_run_transmission_efficiency, dict(

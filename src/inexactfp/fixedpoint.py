@@ -23,8 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .krylov import SolveReport
-from .linalg import norm2
+from .krylov import SolveReport, norm2
 
 DEFAULT_MAX_ITER = 100_000
 DIVERGENCE_LIMIT = 1e12
@@ -81,6 +80,12 @@ class PerturbationSchedule:
     magnitude0: float
     decay: float = 1.0
 
+    def __post_init__(self):
+        for name in ("magnitude0", "decay"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # so that NaN fails too
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
     @staticmethod
     def adaptive(c: float, L: float) -> "PerturbationSchedule":
         """The decaying schedule c L^k, for a contraction constant 0 < L < 1."""
@@ -130,6 +135,8 @@ def _drive(step, x0, tol: float, max_iter: int) -> FixedPointTrace:
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     x = _as_state(x0)
     increments: list[float] = []
     inner_reports: list[list[SolveReport]] = []

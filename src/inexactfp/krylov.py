@@ -57,6 +57,7 @@ and ``Ap`` (the operator's ``out``) in another: one multiply and one add
 update both. Round to nearest is symmetric in sign, fl(-r + t) = -fl(r - t),
 so ``p -= s`` and ``s.dot(s)`` give the bits of ``p += r`` and ``r.dot(r)``
 but for the sign of a zero: ``s`` holds +0 where ``r`` holds +0 too.
+``norm2`` is the 2-norm of every residual, increment and error in the package.
 """
 
 from __future__ import annotations
@@ -66,11 +67,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, norm2
-
 DRIFT_GUARD_FACTOR = 10.0
 EPS_MACH = float(np.finfo(float).eps)
 RESTART_PROGRESS_FACTOR = 0.5
+
+
+class DimensionMismatchError(ValueError):
+    """Operands with incompatible shapes were combined."""
+
+
+def norm2(x: np.ndarray) -> float:
+    """Euclidean norm; 0 exactly iff x is the zero vector.
+
+    The same operations as ``np.linalg.norm`` on real input, bit for bit,
+    without its dispatch or overflow warning (``np.vdot`` checks no float
+    status), unless the squares of a finite nonzero x leave float64's range:
+    then it is recomputed scaled by ``max|x|``. The ravel matters: a dot
+    product over a strided view sums in another order than over a copy.
+    """
+    x = np.asarray(x, dtype=float).ravel(order="K")
+    s = math.sqrt(float(np.vdot(x, x)))
+    scale = float(np.abs(x).max(initial=0.0)) if not 0.0 < s < math.inf else 0.0
+    return scale * norm2(x / scale) if 0.0 < scale < math.inf else s
 
 
 CRITERION_LABELS = ("rel", "relb", "abs")
@@ -176,11 +194,14 @@ def _as_apply(op):
     return checked_apply
 
 
-def _start(op, b, x0, criterion: TerminationCriterion):
+def _start(op, b, x0, criterion: TerminationCriterion, max_iter: int):
     """Set-up shared by both solvers: ``b`` must be a vector of ``x0``'s
-    shape. ``report`` takes ``x``, which GMRES rebinds; ``floor(a)`` is the
-    float64 residual floor for the operator-norm estimate ``a``; ``done`` is
-    the report to return before any iteration, or None."""
+    shape and ``max_iter`` nonnegative. ``report`` takes ``x``, which GMRES
+    rebinds; ``floor(a)`` is the float64 residual floor for the
+    operator-norm estimate ``a``; ``done`` is the report to return before
+    any iteration, or None."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     apply_op = _as_apply(op)
     b = np.asarray(b, dtype=float)
     x = np.array(x0, dtype=float)
@@ -245,7 +266,7 @@ def cg_solve(
     ``p'Ap / r'r`` so far. SPD-ness is the caller's responsibility; an
     indefinite operator surfaces as a breakdown report.
     """
-    apply_op, b, x, r, history, threshold, floor, report, done = _start(op, b, x0, criterion)
+    apply_op, b, x, r, history, threshold, floor, report, done = _start(op, b, x0, criterion, max_iter)
     if done is not None:
         return done
 
@@ -318,7 +339,7 @@ def gmres_solve(
     left out of the least squares, and the space counts as exhausted. ``a``
     of the floor is the largest ``|h_jj|`` so far, before rotation.
     """
-    apply_op, b, x, r, history, threshold, floor, report, done = _start(op, b, x0, criterion)
+    apply_op, b, x, r, history, threshold, floor, report, done = _start(op, b, x0, criterion, max_iter)
     if done is not None:
         return done
     n = b.shape[0]

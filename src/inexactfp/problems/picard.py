@@ -18,11 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..fixedpoint import FixedPointTrace, _drive
-from ..krylov import TerminationCriterion, gmres_solve
-from ..linalg import norm2
+from ..krylov import TerminationCriterion, gmres_solve, norm2
 
 N = 64  # interior grid points
 VISCOSITY = 1e-2
+PICARD_MAX_ITER = 500  # outer steps
 
 
 def picard_assemble(x: np.ndarray):
@@ -61,7 +61,7 @@ def picard_forcing() -> np.ndarray:
 
 
 def picard_iterate(
-    criterion: TerminationCriterion, tol: float, max_iter: int = 500
+    criterion: TerminationCriterion, tol: float, max_iter: int = PICARD_MAX_ITER
 ) -> FixedPointTrace:
     """Run the Picard iteration A(x^k) x^{k+1} = b from zero with inexact GMRES solves.
 

@@ -40,8 +40,7 @@ import numpy as np
 from numpy.linalg import solve as solve_direct  # unused here; perfbench/spans.py wraps this name
 
 from ..fixedpoint import DEFAULT_MAX_ITER, FixedPointTrace, _drive
-from ..krylov import SolveReport, TerminationCriterion, cg_solve
-from ..linalg import norm2
+from ..krylov import SolveReport, TerminationCriterion, cg_solve, norm2
 
 if TYPE_CHECKING:
     import scipy.sparse as sp

@@ -21,6 +21,7 @@ from inexactfp.experiments import (
     ExperimentConfig,
     TableReport,
     UsageError,
+    _EXPERIMENTS,
     emit,
     export_field_csvs,
     run_experiment,
@@ -183,6 +184,14 @@ def test_cli_grid_outside_contraction_is_usage_error(argv, capsys):
 def test_reference_grids_are_inside_contraction():
     for experiment in EXPERIMENT_IDS:
         ExperimentConfig(experiment=experiment).with_defaults()
+
+
+@pytest.mark.parametrize("experiment, name", [
+    (experiment, name) for experiment in EXPERIMENT_IDS for name in _EXPERIMENTS[experiment][1]
+])
+def test_a_field_set_to_none_takes_its_table_default(experiment, name):
+    assert (ExperimentConfig(experiment, **{name: None}).with_defaults()
+            == ExperimentConfig(experiment).with_defaults())
 
 
 def test_unread_field_at_its_default_is_accepted():

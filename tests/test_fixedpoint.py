@@ -17,9 +17,14 @@ from inexactfp.fixedpoint import (
     iterate_plain,
     _drive,
 )
-from inexactfp.krylov import DRIFT_GUARD_FACTOR, TerminationCriterion, cg_solve, gmres_solve
-from inexactfp.linalg import norm2
-from inexactfp.problems import linear_nested, nested_scalar
+from inexactfp.krylov import DRIFT_GUARD_FACTOR, TerminationCriterion, cg_solve, gmres_solve, norm2
+from inexactfp.problems import (
+    dn_iterate,
+    linear_nested,
+    nested_scalar,
+    picard_iterate,
+    transmission_assemble,
+)
 from inexactfp.problems.linear import OFF_DIAGONAL
 
 
@@ -119,6 +124,32 @@ def test_plain_increment_contraction_affine():
 def test_nonpositive_tol_rejected(tol):
     with pytest.raises(ValueError, match="tol must be positive"):
         iterate_plain(lambda x: 0.5 * x, 1.0, tol=tol)
+
+
+ABS = TerminationCriterion("abs", 1e-8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cg_solve(np.eye(2), np.ones(2), np.zeros(2), ABS, max_iter=-1),
+    lambda: gmres_solve(np.eye(2), np.ones(2), np.zeros(2), ABS, max_iter=-1),
+    lambda: iterate_plain(halving, 1.0, tol=1e-8, max_iter=-1),
+    lambda: iterate_perturbed(halving, PerturbationSchedule(0.0), 1.0, tol=1e-8, max_iter=-1),
+    lambda: iterate_nested(halving, halving, PerturbationSchedule(0.0), PerturbationSchedule(0.0),
+                           1.0, tol=1e-8, max_iter=-1),
+    lambda: dn_iterate(transmission_assemble(0.25), ABS, tol=1e-8, max_iter=-1),
+    lambda: picard_iterate(ABS, tol=1e-8, max_iter=-1),
+    lambda: PerturbationSchedule(-1e-2),
+    lambda: PerturbationSchedule(math.inf),
+    lambda: PerturbationSchedule(1e-2, -0.5),
+    lambda: PerturbationSchedule(1e-2, math.nan),
+    lambda: PerturbationSchedule.adaptive(math.nan, 0.5),
+], ids=["cg-cap", "gmres-cap", "plain-cap", "perturbed-cap", "nested-cap", "dn-cap",
+        "picard-cap", "negative-magnitude", "infinite-magnitude", "negative-decay",
+        "nan-decay", "adaptive-nan-c"])
+def test_library_rejects_negative_caps_and_bad_schedules(call):
+    # max_iter=0 stays legal: a run of no steps
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        call()
 
 
 # ---------------------------------------------------------------------------

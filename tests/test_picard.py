@@ -4,8 +4,7 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from inexactfp.fixedpoint import Termination
-from inexactfp.krylov import TerminationCriterion, _as_apply, gmres_solve
-from inexactfp.linalg import norm2
+from inexactfp.krylov import TerminationCriterion, _as_apply, gmres_solve, norm2
 from inexactfp.problems import (
     picard_assemble,
     picard_exact_solution,

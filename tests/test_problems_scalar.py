@@ -77,6 +77,19 @@ def test_linear_nested_fixed_point():
     assert_allclose(S(F(x_star)), x_star, rtol=1e-12)
 
 
+def test_linear_nested_fixed_point_is_the_direct_solve():
+    # (I - AB) x = b with alpha = beta = 0.1; elimination by hand gives
+    # x1 = 1/0.99 and x2 = (1 + 0.000101 * x1) / 0.999999. linear_nested's
+    # fixed point is this direct solve, bit for bit
+    A = np.array([[0.1, 0.0], [0.001, 0.001]])
+    B = np.array([[0.1, 0.0], [0.001, 0.001]])
+    x = np.linalg.solve(np.eye(2) - A @ B, np.ones(2))
+    x1 = 1.0 / 0.99
+    x2 = (1.0 + 0.000101 * x1) / 0.999999
+    assert_allclose(x, [x1, x2], rtol=1e-13)
+    assert linear_nested(0.1, 0.1)[2].tobytes() == x.tobytes()
+
+
 def test_linear_nested_exactly_singular_raises():
     # alpha = beta = 1 makes I - AB exactly singular; the CLI never gets here
     with pytest.raises(np.linalg.LinAlgError):

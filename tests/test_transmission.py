@@ -13,8 +13,7 @@ from scipy.sparse.linalg import splu
 
 from inexactfp.experiments import export_field_csvs
 from inexactfp.fixedpoint import Termination
-from inexactfp.krylov import TerminationCriterion, _as_apply, cg_solve
-from inexactfp.linalg import norm2
+from inexactfp.krylov import TerminationCriterion, _as_apply, cg_solve, norm2
 from inexactfp.problems import (
     DnState,
     dn_iterate,
@@ -414,7 +413,7 @@ def test_dn_trace_records_carry_no_vectors():
     records = [r for step in trace.inner_reports for r in step]
     assert len(records) == 2 * trace.steps
     assert all(r.solution is None and r.residual_history is None for r in records)
-    rep = cg_solve(sys_.A, sys_.b1(trace.final), np.zeros(sys_.n1),
+    rep = cg_solve(sys_.A, sys_.b1(sys_.interface(trace.state.u2)), np.zeros(sys_.n1),
                    TerminationCriterion("abs", 1e-4))
     assert rep.solution.shape == (sys_.n1,)
     assert len(rep.residual_history) == rep.iterations + 1
