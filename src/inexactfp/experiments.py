@@ -483,19 +483,85 @@ def _echo_config(cfg: ExperimentConfig) -> str:
     return " ".join(parts)
 
 
+_EXPORT_BLOCK_ROWS = 32  # grid rows whose lines numpy builds at once
+_E6_WIDTH = 15  # len(b"-1.000000e-308\n"), the longest value text
+_TIE_MARGIN = 1e-6
+
+
+def _e6_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The tables of ``_write_e6``: entry d of the first holds the four ASCII
+    bytes of f"{d:04d}", entry 100 - e of the second 10**(6 - e) correctly
+    rounded."""
+    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    ascii4 = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1).view(np.uint32)
+    return ascii4.ravel(), np.array([float(f"1e{k}") for k in range(-94, 107)])
+
+
+def _write_e6(values: np.ndarray, out: np.ndarray, ascii4: np.ndarray, pow10: np.ndarray):
+    """Write ``b"%.6e\\n" % v`` for each v of ``values`` into the 15 bytes
+    of ``out[..., :15]`` at its index, padded with NULs, a NUL in front of a
+    non-negative mantissa."""
+    a = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    fast = np.abs(e) < 100  # false for 0, nan, inf and three-digit exponents
+    a, e = np.where(fast, a, 1.0), np.where(fast, e, 0.0).astype(np.intp)
+    # floor(log10(a)) can miss by one decade next to a power of ten
+    m = a * pow10[100 - e]
+    e += (m >= 1e7).view(np.int8) - (m < 1e6).view(np.int8)
+    m = a * pow10[100 - e]
+    r = np.rint(m)
+    # m is a * 10**(6 - e) after two roundings, each below 2**-53: off by at
+    # most a few ulps of 1e7, about 5e-9. Outside 1e-6 of a tie and of either
+    # decade edge, rint(m) is therefore the correctly rounded 7-digit mantissa.
+    fast &= (np.abs(m - r) < 0.5 - _TIE_MARGIN) & (m > 1e6 + _TIE_MARGIN)
+    fast &= (m < 1e7 - 0.5 - _TIE_MARGIN) & (np.abs(e) < 100)
+    # elsewhere "0.000000e+00": a zero's text, else overwritten below
+    r, e = np.where(fast, r, 0.0).astype(np.intp), np.where(fast, e, 0)
+    q = r // 10000
+    lead, tail = (ascii4[k].view((np.uint8, 4)) for k in (q, r - q * 10000))
+    exponent = ascii4[np.abs(e)].view((np.uint8, 4))
+    for col, byte in enumerate((
+        np.where(np.signbit(values), ord("-"), 0), lead[..., 1], ord("."), lead[..., 2],
+        lead[..., 3], tail[..., 0], tail[..., 1], tail[..., 2], tail[..., 3], ord("e"),
+        np.where(e < 0, ord("-"), ord("+")), exponent[..., 2], exponent[..., 3], ord("\n"), 0,
+    )):
+        out[..., col] = byte
+    for k in zip(*np.nonzero(~fast & (values != 0))):
+        out[k] = np.frombuffer((b"%.6e\n" % values[k]).ljust(_E6_WIDTH, b"\0"), np.uint8)
+
+
 def export_field_csvs(dx: float, prefix: str) -> list[str]:
     """Write (x, y, value) CSV grids of the exact and discrete fields; the
-    discrete field is the oracle, solved from the mesh alone."""
+    discrete field is the oracle, solved from the mesh alone.
+
+    Each file is the header ``x,y,value`` and one line
+    ``f"{x:.6g},{y:.6g},{v:.6e}"`` per grid point, row by row. numpy builds
+    the lines of a block of grid rows as NUL-padded bytes: each value's text
+    from its scaled, rounded mantissa and a digit table, each prefix
+    formatted once per grid column or row. Float arithmetic cannot decide
+    every rounding, so a value that is not finite, needs a three-digit
+    exponent, or has a mantissa next to a rounding tie or a decade edge goes
+    through Python's ``"%.6e"``; every byte is the f-string's."""
     x, y, exact, discrete = field_grids(dx, monolithic_field(dx))
-    # x is fixed down each column, y along each row: one % formats a grid row
-    xs = [f"{xv:.6g}," for xv in x[0].tolist()]
-    cells = [xs[0], *["%.6e\n" + xp for xp in xs[1:]], "%.6e\n"]
+    # x is fixed down each column, y along each row
+    xs = np.array([f"{xv:.6g},".encode() for xv in x[0].tolist()])
+    ys = np.array([f"{yv:.6g},".encode() for yv in y[:, 0].tolist()])
+    xs, ys = (s.view(np.uint8).reshape(len(s), s.itemsize) for s in (xs, ys))
+    nx, ny = xs.shape[1], ys.shape[1]
+    tables = _e6_tables()
+    lines = np.empty((_EXPORT_BLOCK_ROWS, len(xs), nx + ny + _E6_WIDTH), np.uint8)
+    lines[..., :nx] = xs
     paths = []
     for which, values in (("exact", exact), ("discrete", discrete)):
         path = f"{prefix}{which}.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,y,value\n")
-            for yv, row in zip(y[:, 0].tolist(), values.tolist()):
-                fh.write(f"{yv:.6g},".join(cells) % tuple(row))
+        with open(path, "wb") as fh:
+            fh.write(b"x,y,value\n")
+            for j in range(0, len(values), _EXPORT_BLOCK_ROWS):
+                rows = values[j : j + _EXPORT_BLOCK_ROWS]
+                block = lines[: len(rows)]
+                block[..., nx : nx + ny] = ys[j : j + len(rows), None]
+                _write_e6(rows, block[..., nx + ny :], *tables)
+                fh.write(block.tobytes().translate(None, b"\0"))  # the NULs dropped
         paths.append(path)
     return paths

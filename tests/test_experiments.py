@@ -22,6 +22,7 @@ from inexactfp.experiments import (
     TableReport,
     UsageError,
     _EXPERIMENTS,
+    _EXPORT_BLOCK_ROWS,
     emit,
     export_field_csvs,
     run_experiment,
@@ -508,9 +509,13 @@ def test_export_field_csvs_bytes_pinned_fine_grid(tmp_path):
     ]
 
 
+# the export formats most values by float arithmetic: exact ties, values that
+# round across a decade edge and three-digit exponents are where it goes wrong
 EDGE_FLOATS = st.one_of(st.floats(), st.sampled_from([
     -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
-    math.nan, math.inf, -math.inf,
+    math.nan, math.inf, -math.inf, 1048576.5, 1048577.5, 9999999.5,
+    *[float(np.nextafter(edge, to)) for edge in (9.9999995, 0.99999995) for to in (0, edge, 99)],
+    1e-100, 1e100, -2.5e-300,
 ]))
 
 
@@ -536,6 +541,32 @@ def test_export_field_csvs_formats_each_point_like_an_fstring(grids, tmp_path_fa
     x, y = grids[0].ravel().tolist(), grids[1].ravel().tolist()
     for path, values in zip(paths, grids[2:]):
         want = [f"{xv:.6g},{yv:.6g},{v:.6e}" for xv, yv, v in zip(x, y, values.ravel().tolist())]
+        assert Path(path).read_text(encoding="utf-8").split("\n") == ["x,y,value", *want, ""]
+
+
+def test_export_field_csvs_block_path_formats_like_an_fstring(tmp_path, monkeypatch):
+    rows, cols = 3 * _EXPORT_BLOCK_ROWS + 7, 1024  # the last block is partial
+    assert rows % _EXPORT_BLOCK_ROWS
+    rng = np.random.default_rng(38)
+    k = np.arange(-320, 309)
+    with np.errstate(over="ignore", under="ignore"):
+        edges = 10.0**k * (1 - 5e-8)  # 9.9999995 times 10**(k - 1)
+        edges = [edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+                 np.nextafter(10.0**k, 0)]
+        # 7-digit ties: exact halves, and decimal ones a double sits just off
+        halves = rng.integers(-10**7, 10**7, 10**4) + 0.5
+        ties = [float(f"{t}5e{p}") for t, p in zip(rng.integers(10**6, 10**7, 10**4).tolist(),
+                                                      rng.integers(-100, 100, 10**4).tolist())]
+        size = rows * cols - sum(map(len, edges)) - len(halves) - len(ties)
+        random = rng.uniform(1, 10, size) * 10.0 ** rng.integers(-320, 309, size)
+    values = np.concatenate([*edges, halves, ties, random])
+    x, y = np.meshgrid(np.arange(cols) / 7, np.arange(rows) * -1e-3)
+    grids = x, y, *((sign * values).reshape(rows, cols) for sign in (1, -1))
+    monkeypatch.setattr(inexactfp.experiments, "field_grids", lambda dx, interior: grids)
+    paths = export_field_csvs(1 / 2, str(tmp_path / "bulk_"))
+    for path, field in zip(paths, grids[2:]):
+        want = [f"{xv:.6g},{yv:.6g},{v:.6e}"
+                for xv, yv, v in zip(x.ravel().tolist(), y.ravel().tolist(), field.ravel().tolist())]
         assert Path(path).read_text(encoding="utf-8").split("\n") == ["x,y,value", *want, ""]
 
 

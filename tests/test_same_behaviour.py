@@ -10,8 +10,8 @@ TOOL = ROOT / "tools" / "same_behaviour.py"
 ONLY = ["--only", "help,scalar-direct.csv"]
 
 
-def compare(parent):
-    return subprocess.run([sys.executable, str(TOOL), str(parent), *ONLY],
+def compare(parent, only=ONLY):
+    return subprocess.run([sys.executable, str(TOOL), str(parent), *only],
                           capture_output=True, text=True, timeout=60)
 
 
@@ -55,3 +55,17 @@ def test_a_message_on_stderr_alone_differs(tmp_path):
         "DIFFERS help: stderr line 1: parent 'warning\\n', here end of output",
         "DIFFERS scalar-direct.csv: stderr line 1: parent 'warning\\n', here end of output",
         "0/2 artifacts the same"]
+
+
+def test_a_changed_field_csv_differs(tmp_path):
+    experiments = copy_src(tmp_path) / "experiments.py"
+    text = experiments.read_text()
+    assert text.count('b"x,y,value\\n"') == 1
+    experiments.write_text(text.replace('b"x,y,value\\n"', 'b"x,y,v\\n"'))
+    here = compare(ROOT, ["--only", "export-fields"])
+    assert here.returncode == 0, here.stderr
+    assert here.stdout.splitlines()[0].split()[:2] == ["same", "export-fields"]
+    done = compare(tmp_path, ["--only", "export-fields"])
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.startswith("DIFFERS export-fields: line 1: parent 'n80_exact.csv 331454 ")
+    assert done.stdout.splitlines()[1:] == ["0/1 artifacts the same"]

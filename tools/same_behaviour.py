@@ -6,8 +6,11 @@
 Each artifact runs under this interpreter in both checkouts, with
 ``PYTHONPATH=<checkout>/src`` and BLAS on one thread: ``inexactfp --help``,
 every experiment id at its defaults as CSV and as Markdown,
-``--run-acceptance --verbose``, and ``tools/seed_scan.py --seeds 0-9`` for each
-workload that ``BENCHMARK.json`` declares. The stdout bytes, the stderr bytes
+``--run-acceptance --verbose``, ``tools/seed_scan.py --seeds 0-9`` for each
+workload that ``BENCHMARK.json`` declares, and ``export-fields``: the field
+CSVs that ``export_field_csvs`` writes at dx 1/80 and 1/160, the mesh
+workload's grids, into a temporary directory, printed as each file's name,
+size and sha256. The stdout bytes, the stderr bytes
 and the exit status are compared; help text is wrapped at ``COLUMNS=80``. One
 line per artifact says ``same`` or ``DIFFERS``, the latter with the first
 differing line. Exit status 1 if any artifact differs. The tool runs no git
@@ -26,6 +29,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEEDS = "0-9"
+EXPORT_FIELDS = """
+import hashlib, os, tempfile
+from inexactfp.experiments import export_field_csvs
+with tempfile.TemporaryDirectory() as tmp:
+    for n in (80, 160):
+        for path in export_field_csvs(1 / n, os.path.join(tmp, f"n{n}_")):
+            with open(path, "rb") as fh:
+                data = fh.read()
+            print(os.path.basename(path), len(data), hashlib.sha256(data).hexdigest())
+"""
 
 
 def artifacts() -> dict[str, list[str]]:
@@ -39,6 +52,7 @@ def artifacts() -> dict[str, list[str]]:
         for fmt in ("csv", "md"):
             runs[f"{exp}.{fmt}"] = [*cli, "--experiment", exp, "--format", fmt]
     runs["acceptance"] = [*cli, "--run-acceptance", "--verbose"]
+    runs["export-fields"] = [sys.executable, "-c", EXPORT_FIELDS]
     for workload in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]:
         runs[f"seed-scan-{workload['name']}"] = [
             sys.executable, "tools/seed_scan.py", "--workload", workload["name"], "--seeds", SEEDS]
