@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field, fields, replace
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -67,9 +67,8 @@ class ExperimentConfig:
 
     Each experiment reads the fields of its ``_EXPERIMENTS`` entry; a field
     left ``None`` takes the entry's reference-table default (see
-    ``with_defaults``). A field the experiment does not read must keep its
-    dataclass default (``None``, or ``adaptive_c=1e-2`` and
-    ``inner_guess="previous"``), else ``validate`` raises UsageError.
+    ``with_defaults``). A field the experiment does not read must stay
+    ``None``, else ``validate`` raises UsageError.
     """
 
     experiment: str
@@ -84,8 +83,8 @@ class ExperimentConfig:
     criterion: str | None = None
     tol: float | None = None
     outer_tols: list[float] | None = None
-    adaptive_c: float = 1e-2
-    inner_guess: str = "previous"
+    adaptive_c: float | None = None
+    inner_guess: str | None = None
     max_outer: int | None = None
     out_format: str = "csv"
     out_path: str | None = None
@@ -97,11 +96,9 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENT_IDS}"
             )
         reads = _EXPERIMENTS[self.experiment][1]
-        for f in fields(self):
-            if f.name not in reads and f.name not in _READ_BY_ALL and (
-                getattr(self, f.name) != f.default
-            ):
-                raise UnreadFieldError(self.experiment, f.name, reads)
+        for name, value in vars(self).items():
+            if value is not None and name not in reads and name not in _READ_BY_ALL:
+                raise UnreadFieldError(self.experiment, name, reads)
         for what, value, allowed in (("criterion", self.criterion, CRITERION_LABELS),
                                      ("inner guess", self.inner_guess, INNER_GUESSES),
                                      ("format", self.out_format, OUT_FORMATS)):
@@ -431,11 +428,9 @@ def _run_transmission_efficiency(cfg: ExperimentConfig) -> TableReport:
 # Each experiment: its runner and the config fields it reads, with the
 # defaults of its reference table. Picard's None defaults are resolved by its
 # runner: it sweeps both criteria, each over its own taus. Any field outside
-# an entry must keep its dataclass default.
-_DN_SWEEP = dict(
-    taus=[1e-1, 1e-2, 1e-3, 1e-4], dxs=[0.1, 0.05], tol=1e-14, max_outer=DEFAULT_MAX_ITER,
-    inner_guess="previous", export_fields=None,
-)
+# an entry must stay None.
+_DN = dict(max_outer=DEFAULT_MAX_ITER, inner_guess="previous", export_fields=None)
+_DN_SWEEP = dict(taus=[1e-1, 1e-2, 1e-3, 1e-4], dxs=[0.1, 0.05], tol=1e-14, **_DN)
 _EXPERIMENTS = {
     "scalar-direct": (_run_scalar_direct, dict(
         gammas=[0.3, 1.145, 1.2], eps_values=[1e-1, 1e-2, 1e-3], tol=1e-14,
@@ -457,8 +452,7 @@ _EXPERIMENTS = {
     "transmission-error": (_run_transmission_sweep, dict(criterion="abs", **_DN_SWEEP)),
     "transmission-iters": (_run_transmission_sweep, dict(criterion="rel", **_DN_SWEEP)),
     "transmission-efficiency": (_run_transmission_efficiency, dict(
-        outer_tols=[1e-1, 1e-2, 1e-3, 1e-4], dxs=[0.05], max_outer=DEFAULT_MAX_ITER,
-        inner_guess="previous", export_fields=None,
+        outer_tols=[1e-1, 1e-2, 1e-3, 1e-4], dxs=[0.05], **_DN,
     )),
 }
 EXPERIMENT_IDS = tuple(_EXPERIMENTS)
@@ -544,9 +538,7 @@ def export_field_csvs(dx: float, prefix: str) -> list[str]:
     exponent, or has a mantissa next to a rounding tie or a decade edge goes
     through Python's ``"%.6e"``; every byte is the f-string's."""
     x, y, exact, discrete = field_grids(dx, monolithic_field(dx))
-    # x is fixed down each column, y along each row
-    xs = np.array([f"{xv:.6g},".encode() for xv in x[0].tolist()])
-    ys = np.array([f"{yv:.6g},".encode() for yv in y[:, 0].tolist()])
+    xs, ys = (np.array([f"{v:.6g},".encode() for v in axis.tolist()]) for axis in (x, y))
     xs, ys = (s.view(np.uint8).reshape(len(s), s.itemsize) for s in (xs, ys))
     nx, ny = xs.shape[1], ys.shape[1]
     tables = _e6_tables()

@@ -305,12 +305,12 @@ def solution_errors(sys: TransmissionSystem, state: DnState) -> tuple[float, flo
 
 
 def field_grids(dx: float, interior: np.ndarray):
-    """(x, y, exact, discrete) arrays on the closed grid of mesh width ``dx``,
-    rows j = 0 .. n: the closed-form field, evaluated on the grid axes and
-    broadcast, and ``interior``, an (n - 1, 2n - 1) interior grid such as
-    ``monolithic_field(dx)``, with the zero boundary around it."""
+    """(x, y, exact, discrete) on the closed grid of mesh width ``dx``: the
+    axes x (2n + 1 points) and y (n + 1), and on rows j = 0 .. n the
+    closed-form field and ``interior``, an (n - 1, 2n - 1) interior grid such
+    as ``monolithic_field(dx)``, with the zero boundary around it."""
     n = mesh_cells(dx)
-    y, x = np.mgrid[0 : n + 1, 0 : 2 * n + 1] * (1.0 / n)
-    discrete = np.zeros(x.shape)
+    x, y = np.arange(2 * n + 1) * (1.0 / n), np.arange(n + 1) * (1.0 / n)
+    discrete = np.zeros((n + 1, 2 * n + 1))
     discrete[1:n, 1 : 2 * n] = interior
-    return x, y, exact_solution(x[:1], y[:, :1]), discrete
+    return x, y, exact_solution(x, y[:, None]), discrete

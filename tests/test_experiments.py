@@ -6,7 +6,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -195,18 +195,46 @@ def test_a_field_set_to_none_takes_its_table_default(experiment, name):
             == ExperimentConfig(experiment).with_defaults())
 
 
-def test_unread_field_at_its_default_is_accepted():
-    plain = small_config()
-    spelled_out = small_config(adaptive_c=1e-2, inner_guess="previous")
-    assert emit(run_experiment(spelled_out), "md") == emit(run_experiment(plain), "md")
+def test_only_experiment_and_out_format_have_dataclass_defaults():
+    # every other default lives in the experiment's _EXPERIMENTS entry
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    assert defaults.pop("experiment") is MISSING
+    assert defaults.pop("out_format") == "csv"
+    assert set(defaults.values()) == {None}
+
+
+@pytest.mark.parametrize("experiment, key, value, message", [
+    ("scalar-direct", "inner-guess", "previous",
+     "error: scalar-direct does not read --inner-guess; "
+     "it reads --gammas, --eps, --tol, --max-outer\n"),
+    ("linear-nested", "adaptive-c", "1e-2",
+     "error: linear-nested does not read --adaptive-c; "
+     "it reads --alphas, --betas, --eps, --tol, --max-outer\n"),
+], ids=["inner-guess-previous", "adaptive-c-1e-2"])
+def test_unread_field_at_another_experiments_default_is_rejected(
+        experiment, key, value, message, tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key}={value}\n")
+    for given_as in ([f"--{key}", value], ["--config", str(cfg_file)]):
+        assert main(["--experiment", experiment, *given_as]) == 1
+        assert capsys.readouterr() == ("", message)
 
 
 def test_provenance_echoes_the_config_as_given():
     # the runner reads a copy with the defaults filled in; the echo does not
     report = run_experiment(small_config())
     assert report.provenance["config"] == (
-        "experiment=scalar-direct gammas=[0.3] eps_values=[0.01] adaptive_c=0.01 "
-        "inner_guess=previous out_format=csv"
+        "experiment=scalar-direct gammas=[0.3] eps_values=[0.01] out_format=csv"
+    )
+
+
+def test_provenance_echoes_a_given_inner_guess(capsys):
+    # tau 0.9: from a zero guess the run stops after 81 sweeps, not 100,000
+    assert main(["--experiment", "transmission-iters", "--tau", "0.9", "--dx", "1/10",
+                 "--inner-guess", "zero", "--format", "md"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == (
+        "- config: experiment=transmission-iters taus=[0.9] dxs=[0.1] inner_guess=zero "
+        "out_format=md"
     )
 
 
@@ -521,11 +549,10 @@ EDGE_FLOATS = st.one_of(st.floats(), st.sampled_from([
 
 @st.composite
 def field_grid_draws(draw):
-    """(x, y, exact, discrete) grids as ``field_grids`` lays them out: x
-    constant down each column, y along each row."""
+    """(x, y, exact, discrete) as ``field_grids`` returns them: the column
+    axis x, the row axis y and two (rows, cols) fields."""
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    x, y = np.meshgrid(draw(st.lists(EDGE_FLOATS, min_size=cols, max_size=cols)),
-                       draw(st.lists(EDGE_FLOATS, min_size=rows, max_size=rows)))
+    x, y = (np.array(draw(st.lists(EDGE_FLOATS, min_size=k, max_size=k))) for k in (cols, rows))
     values = [draw(st.lists(EDGE_FLOATS, min_size=rows * cols, max_size=rows * cols))
               for _ in range(2)]
     return x, y, *(np.reshape(v, (rows, cols)) for v in values)
@@ -538,7 +565,7 @@ def test_export_field_csvs_formats_each_point_like_an_fstring(grids, tmp_path_fa
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inexactfp.experiments, "field_grids", lambda dx, interior: grids)
         paths = export_field_csvs(1 / 2, prefix)
-    x, y = grids[0].ravel().tolist(), grids[1].ravel().tolist()
+    x, y = (axis.ravel().tolist() for axis in np.meshgrid(*grids[:2]))
     for path, values in zip(paths, grids[2:]):
         want = [f"{xv:.6g},{yv:.6g},{v:.6e}" for xv, yv, v in zip(x, y, values.ravel().tolist())]
         assert Path(path).read_text(encoding="utf-8").split("\n") == ["x,y,value", *want, ""]
@@ -560,13 +587,13 @@ def test_export_field_csvs_block_path_formats_like_an_fstring(tmp_path, monkeypa
         size = rows * cols - sum(map(len, edges)) - len(halves) - len(ties)
         random = rng.uniform(1, 10, size) * 10.0 ** rng.integers(-320, 309, size)
     values = np.concatenate([*edges, halves, ties, random])
-    x, y = np.meshgrid(np.arange(cols) / 7, np.arange(rows) * -1e-3)
-    grids = x, y, *((sign * values).reshape(rows, cols) for sign in (1, -1))
+    axes = np.arange(cols) / 7, np.arange(rows) * -1e-3
+    grids = *axes, *((sign * values).reshape(rows, cols) for sign in (1, -1))
     monkeypatch.setattr(inexactfp.experiments, "field_grids", lambda dx, interior: grids)
     paths = export_field_csvs(1 / 2, str(tmp_path / "bulk_"))
+    x, y = (axis.ravel().tolist() for axis in np.meshgrid(*axes))
     for path, field in zip(paths, grids[2:]):
-        want = [f"{xv:.6g},{yv:.6g},{v:.6e}"
-                for xv, yv, v in zip(x.ravel().tolist(), y.ravel().tolist(), field.ravel().tolist())]
+        want = [f"{xv:.6g},{yv:.6g},{v:.6e}" for xv, yv, v in zip(x, y, field.ravel().tolist())]
         assert Path(path).read_text(encoding="utf-8").split("\n") == ["x,y,value", *want, ""]
 
 
@@ -574,13 +601,13 @@ def test_export_field_csvs_block_path_formats_like_an_fstring(tmp_path, monkeypa
 # digests cover the blocked layouts of linear-nested and scalar-nested
 SCALAR_TABLE_DIGESTS = {
     ("scalar-direct", "csv"): "496cdc7658cb86ed4587af65dc088a29fb9ed03373f5eaf31d8f0e2c726e03db",
-    ("scalar-direct", "md"): "86df812ec835fee20fa4d0dee3313311e383b02f6ac22e680ebda7437ba396e4",
+    ("scalar-direct", "md"): "5540f8f547e4b82380f06344fc16dafee994deb0ad2e0f4428e15c1c1398c704",
     ("scalar-adaptive", "csv"): "9a6dd679c542477f07e1cef7fb14474a245f8604406445294e4bd421af12ec72",
-    ("scalar-adaptive", "md"): "a5d6af15f521f20192fd642161ba88be2e2e3fe3afb807e966d96fef1299396f",
+    ("scalar-adaptive", "md"): "c293e9b89ece0bafff1e21e0f045a6aa1c18eb6c927c87aceecf2cdabee8b3e2",
     ("linear-nested", "csv"): "9f537699e1dcd57690826da339d7167f9dee218bdf5767cf2497719fcaa224b8",
-    ("linear-nested", "md"): "d7b3cd69984ef39895aabcc25c67670c214fbc2a972f8f5cec81ee30fd6b9af5",
+    ("linear-nested", "md"): "2fe8f1af6d5d3142b47a7b5c6e538499e42631986f5b959b7045aae99f61c6e4",
     ("scalar-nested", "csv"): "98b74a0cbde33a5c85a3584e019ab1965881c8b1d5d524698338cedcf763700e",
-    ("scalar-nested", "md"): "313e3e8149db034adac51a69b767ebbc59bcc3f74379cbb13cbcdc930bd381de",
+    ("scalar-nested", "md"): "8f7c7dc5d50f853c5c2fefdd352d952fe7f127fe95dafc06150f562885b613cf",
 }
 
 

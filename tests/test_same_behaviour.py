@@ -41,7 +41,7 @@ def test_a_changed_help_text_differs(tmp_path):
     assert lines[0] == (
         "DIFFERS help: line 11: parent 'Rerun the inexact fixed point experiments or run "
         "the acceptance suite.\\n', here 'Reproduce the inexact fixed point experiments or "
-        "run the acceptance suite.\\n'")
+        "run the acceptance suite.\\n' (1 of 44 lines differ)")
     assert lines[1].split()[:2] == ["same", "scalar-direct.csv"]
     assert lines[2] == "1/2 artifacts the same"
 
@@ -52,8 +52,10 @@ def test_a_message_on_stderr_alone_differs(tmp_path):
     done = compare(tmp_path)
     assert done.returncode == 1, done.stderr
     assert done.stdout.splitlines() == [
-        "DIFFERS help: stderr line 1: parent 'warning\\n', here end of output",
-        "DIFFERS scalar-direct.csv: stderr line 1: parent 'warning\\n', here end of output",
+        "DIFFERS help: stderr line 1: parent 'warning\\n', here end of output "
+        "(1 of 1 lines differ)",
+        "DIFFERS scalar-direct.csv: stderr line 1: parent 'warning\\n', here end of output "
+        "(1 of 1 lines differ)",
         "0/2 artifacts the same"]
 
 
@@ -67,5 +69,7 @@ def test_a_changed_field_csv_differs(tmp_path):
     assert here.stdout.splitlines()[0].split()[:2] == ["same", "export-fields"]
     done = compare(tmp_path, ["--only", "export-fields"])
     assert done.returncode == 1, done.stderr
-    assert done.stdout.startswith("DIFFERS export-fields: line 1: parent 'n80_exact.csv 331454 ")
-    assert done.stdout.splitlines()[1:] == ["0/1 artifacts the same"]
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("DIFFERS export-fields: line 1: parent 'n80_exact.csv 331454 ")
+    assert lines[0].endswith(" (4 of 4 lines differ)")  # each file's size and digest
+    assert lines[1:] == ["0/1 artifacts the same"]

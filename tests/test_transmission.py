@@ -226,11 +226,12 @@ def test_second_order_convergence():
 def test_field_grids_cover_grid_with_boundary(sys10):
     x, y, exact, discrete = field_grids(sys10.dx, sys10.monolithic_solution())
     n = sys10.n_cells
-    assert x.shape == y.shape == exact.shape == discrete.shape == (n + 1, 2 * n + 1)
-    assert (x[0, 0], y[0, 0]) == (0.0, 0.0) and exact[0, 0] == 0.0
-    assert (x[n // 2, n], y[n // 2, n]) == pytest.approx((1.0, 0.5))
+    assert (x.shape, y.shape) == ((2 * n + 1,), (n + 1,))
+    assert exact.shape == discrete.shape == (n + 1, 2 * n + 1)
+    assert (x[0], y[0]) == (0.0, 0.0) and exact[0, 0] == 0.0
+    assert (x[n], y[n // 2]) == pytest.approx((1.0, 0.5))
     assert exact[n // 2, n] == pytest.approx(0.70710678, abs=1e-8)
-    assert (x[n, 2 * n], y[n, 2 * n]) == pytest.approx((2.0, 1.0))
+    assert (x[2 * n], y[n]) == pytest.approx((2.0, 1.0))
     assert discrete[n, 2 * n] == 0.0
     for edge in (discrete[0], discrete[n], discrete[:, 0], discrete[:, 2 * n]):
         assert np.all(edge == 0.0)

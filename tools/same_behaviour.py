@@ -13,7 +13,8 @@ workload's grids, into a temporary directory, printed as each file's name,
 size and sha256. The stdout bytes, the stderr bytes
 and the exit status are compared; help text is wrapped at ``COLUMNS=80``. One
 line per artifact says ``same`` or ``DIFFERS``, the latter with the first
-differing line. Exit status 1 if any artifact differs. The tool runs no git
+differing line and the number of lines that differ. Exit status 1 if any
+artifact differs. The tool runs no git
 command; make the parent checkout first.
 """
 
@@ -67,14 +68,15 @@ def _start(command: list[str], checkout: Path) -> subprocess.Popen:
 
 
 def first_difference(parent: bytes, here: bytes) -> str:
-    """The first line on which two outputs differ, as both sides print it."""
-    old, new = (text.decode("utf-8", "replace").splitlines(keepends=True)
-                for text in (parent, here))
-    lineno = next((i for i, (a, b) in enumerate(zip(old, new), 1) if a != b),
-                  min(len(old), len(new)) + 1)  # else one output ends first
-    a, b = (repr(lines[lineno - 1]) if lineno <= len(lines) else "end of output"
-            for lines in (old, new))
-    return f"line {lineno}: parent {a}, here {b}"
+    """The first line on which two outputs differ, as both sides print it,
+    and how many lines differ, compared position by position (a line that
+    one output lacks differs)."""
+    old, new = (text.splitlines(keepends=True) for text in (parent, here))
+    total = max(len(old), len(new))
+    differ = [i for i in range(total) if old[i : i + 1] != new[i : i + 1]]
+    a, b = (repr(lines[differ[0]].decode("utf-8", "replace")) if differ[0] < len(lines)
+            else "end of output" for lines in (old, new))
+    return f"line {differ[0] + 1}: parent {a}, here {b} ({len(differ)} of {total} lines differ)"
 
 
 def main(argv=None) -> int:
